@@ -19,25 +19,30 @@ let rewrite_ip frame ~f =
   | Net.Ethernet.Ipv4 p -> { frame with Net.Ethernet.payload = Net.Ethernet.Ipv4 (f p) }
   | Net.Ethernet.Arp _ -> frame
 
-let apply actions frame =
-  let frame = ref frame in
-  let ports = ref [] in
-  let flood = ref false in
-  let to_controller = ref false in
-  List.iter
-    (fun action ->
-      match action with
-      | Output port -> ports := port :: !ports
-      | Flood -> flood := true
-      | Set_dl_src mac -> frame := { !frame with Net.Ethernet.src = mac }
-      | Set_dl_dst mac -> frame := { !frame with Net.Ethernet.dst = mac }
-      | Set_nw_src ip ->
-        frame := rewrite_ip !frame ~f:(fun p -> { p with Net.Ipv4_packet.src = ip })
-      | Set_nw_dst ip ->
-        frame := rewrite_ip !frame ~f:(fun p -> { p with Net.Ipv4_packet.dst = ip })
-      | To_controller -> to_controller := true)
-    actions;
-  { frame = !frame; ports = List.rev !ports; flood = !flood; to_controller = !to_controller }
+(* A tail-recursive fold over the action list, with no [ref] cells and
+   no [List.iter] closure: the paper's rule (rewrite, then output)
+   allocates only what its result carries — the rewritten frame, the
+   port list and the result record. *)
+let rec fold frame ports flood to_controller = function
+  | [] ->
+    (* [ports] is reversed; a single port needs no copy *)
+    let ports = match ports with [] | [_] -> ports | _ -> List.rev ports in
+    { frame; ports; flood; to_controller }
+  | Output port :: rest -> fold frame (port :: ports) flood to_controller rest
+  | Flood :: rest -> fold frame ports true to_controller rest
+  | Set_dl_src mac :: rest ->
+    fold { frame with Net.Ethernet.src = mac } ports flood to_controller rest
+  | Set_dl_dst mac :: rest ->
+    fold { frame with Net.Ethernet.dst = mac } ports flood to_controller rest
+  | Set_nw_src ip :: rest ->
+    fold (rewrite_ip frame ~f:(fun p -> { p with Net.Ipv4_packet.src = ip }))
+      ports flood to_controller rest
+  | Set_nw_dst ip :: rest ->
+    fold (rewrite_ip frame ~f:(fun p -> { p with Net.Ipv4_packet.dst = ip }))
+      ports flood to_controller rest
+  | To_controller :: rest -> fold frame ports flood true rest
+
+let apply actions frame = fold frame [] false false actions
 
 let equal a b =
   match a, b with

@@ -1,7 +1,7 @@
 type entry = {
   priority : int;
   ofmatch : Ofmatch.t;
-  actions : Action.t list;
+  mutable actions : Action.t list;
   cookie : int64;
   mutable packets : int;
 }
@@ -24,12 +24,24 @@ type flow_mod = {
 let flow_mod ?(cookie = 0L) ?(priority = 100) command ofmatch actions =
   { command; fm_priority = priority; fm_match = ofmatch; fm_actions = actions; fm_cookie = cookie }
 
-(* Entries live in per-priority buckets (insertion-ordered growable
-   arrays with tombstones) so that installing the hundreds of thousands
-   of rules a FIB-cache deployment needs stays O(1) per flow-mod; a hash
-   index over (priority, match) serves the strict commands. Lookup scans
-   priorities in descending order, entries within a priority in install
-   order — the OpenFlow tie-break. *)
+(* Lookup cost must not grow with the number of backup groups: every
+   per-group rule the controller installs matches an exact [dl_dst] (the
+   group's VMAC), and a table holds n·(n−1) of them for n peers. So the
+   table is split in tiers, each a priority-descending array of buckets
+   (insertion-ordered growable arrays with tombstones, so installing the
+   hundreds of thousands of rules a FIB-cache deployment needs stays
+   O(1) per flow-mod):
+
+   - one tier per exact [dl_dst] MAC, reached through a hash index keyed
+     on that MAC (the index chains);
+   - one scanned tier for the rules that wildcard [dl_dst].
+
+   A lookup probes the index once with the frame's destination MAC and
+   takes the first match in that chain, then scans the wildcard tier only
+   down to the hit's priority. Every rule carries a table-wide install
+   sequence number, so the OpenFlow tie-break (highest priority, then
+   earliest install) holds across tiers. A second hash index over
+   (priority, match) serves the strict commands. *)
 
 type slot = {
   entry : entry;
@@ -37,13 +49,20 @@ type slot = {
       (* the shared-Some-cell idiom (see Net.Flat_fib): the [Some] is
          allocated once at install time, so hot-path lookups return this
          stored cell instead of wrapping [entry] per packet *)
+  seq : int;  (* table-wide install order *)
   mutable live : bool;
 }
 
 type bucket = {
+  priority : int;
   mutable slots : slot array;
   mutable len : int;
   mutable dead : int;
+}
+
+type tier = {
+  mac : Net.Mac.t;  (* the chain's [dl_dst]; unused by the wildcard tier *)
+  mutable buckets : bucket array;  (* non-empty, priority descending *)
 }
 
 module Strict_key = struct
@@ -56,34 +75,152 @@ end
 module Strict_index = Hashtbl.Make (Strict_key)
 
 type t = {
-  buckets : (int, bucket) Hashtbl.t;
-  mutable priorities : int list; (* descending, live priorities *)
+  wild : tier;  (* rules with a wildcarded [dl_dst] *)
+  mutable chains : tier list array;
+      (* the dl_dst index: tiers hashed on [mac]; length a power of two *)
+  mutable n_chains : int;
+  miss : slot;  (* the walk's "no match" result: priority [min_int] *)
   index : slot Strict_index.t;
   mutable size : int;
   mutable lookups : int;
+  mutable next_seq : int;
 }
 
+let initial_chains = 16
+
 let create () =
+  let none =
+    { priority = min_int; ofmatch = Ofmatch.any; actions = []; cookie = 0L; packets = 0 }
+  in
   {
-    buckets = Hashtbl.create 16;
-    priorities = [];
+    wild = { mac = Net.Mac.zero; buckets = [||] };
+    chains = Array.make initial_chains [];
+    n_chains = 0;
+    miss = { entry = none; some_entry = None; seq = max_int; live = false };
     index = Strict_index.create 64;
     size = 0;
     lookups = 0;
+    next_seq = 0;
   }
 
-let rec insert_priority p = function
-  | [] -> [p]
-  | q :: rest as l -> if p > q then p :: l else if p = q then l else q :: insert_priority p rest
+(* ------------------------------------------------------------------ *)
+(* The lookup walk, shared by every entry point. Top-level recursion
+   rather than nested closures: it runs once per packet and must not
+   capture. Bounds: [bi] is checked against the tier length and [si]
+   against the bucket's live length before every unsafe read. *)
 
-let bucket_for t priority =
-  match Hashtbl.find_opt t.buckets priority with
-  | Some b -> b
-  | None ->
-    let b = { slots = [||]; len = 0; dead = 0 } in
-    Hashtbl.replace t.buckets priority b;
-    t.priorities <- insert_priority priority t.priorities;
+let[@lint.zero_alloc] rec chain_buckets mac tiers =
+  match tiers with
+  | [] -> [||]
+  | tier :: rest -> if Net.Mac.equal tier.mac mac then tier.buckets else chain_buckets mac rest
+
+(* First live match in a chain, or [miss]. *)
+let[@lint.zero_alloc] rec scan_chain miss buckets ctx bi si =
+  if bi >= Array.length buckets then miss
+  else begin
+    let b = Array.unsafe_get buckets bi in
+    if si >= b.len then scan_chain miss buckets ctx (bi + 1) 0
+    else begin
+      let slot = Array.unsafe_get b.slots si in
+      if slot.live && Ofmatch.matches slot.entry.ofmatch ctx then slot
+      else scan_chain miss buckets ctx bi (si + 1)
+    end
+  end
+
+(* The wildcard tier can beat the indexed [hit] only at a higher
+   priority, or at the same priority with an earlier install; slots sit
+   in install order, so the scan stops at the first later one. *)
+let[@lint.zero_alloc] rec scan_wild hit buckets ctx bi si =
+  if bi >= Array.length buckets then hit
+  else begin
+    let b = Array.unsafe_get buckets bi in
+    if b.priority < hit.entry.priority then hit
+    else if si >= b.len then scan_wild hit buckets ctx (bi + 1) 0
+    else begin
+      let slot = Array.unsafe_get b.slots si in
+      if b.priority = hit.entry.priority && slot.seq > hit.seq then hit
+      else if slot.live && Ofmatch.matches slot.entry.ofmatch ctx then slot
+      else scan_wild hit buckets ctx bi (si + 1)
+    end
+  end
+
+let[@lint.zero_alloc] chain_slot t mac = Net.Mac.hash mac land (Array.length t.chains - 1)
+
+let[@lint.zero_alloc] find t ctx =
+  let mac = ctx.Ofmatch.frame.Net.Ethernet.dst in
+  let chain = chain_buckets mac (Array.unsafe_get t.chains (chain_slot t mac)) in
+  scan_wild (scan_chain t.miss chain ctx 0 0) t.wild.buckets ctx 0 0
+
+let[@lint.zero_alloc] peek t ctx = (find t ctx).some_entry
+
+let[@lint.zero_alloc] lookup t ctx =
+  t.lookups <- t.lookups + 1;
+  match (find t ctx).some_entry with
+  | None -> None
+  | Some e as hit ->
+    e.packets <- e.packets + 1;
+    hit
+
+let[@lint.zero_alloc] peek_batch t ctxs out =
+  if Array.length out < Array.length ctxs then
+    invalid_arg "Flow_table.peek_batch: output array shorter than input";
+  for i = 0 to Array.length ctxs - 1 do
+    Array.unsafe_set out i (find t (Array.unsafe_get ctxs i)).some_entry
+  done
+
+let[@lint.zero_alloc] lookup_batch t ctxs out =
+  if Array.length out < Array.length ctxs then
+    invalid_arg "Flow_table.lookup_batch: output array shorter than input";
+  t.lookups <- t.lookups + Array.length ctxs;
+  for i = 0 to Array.length ctxs - 1 do
+    match (find t (Array.unsafe_get ctxs i)).some_entry with
+    | None -> Array.unsafe_set out i None
+    | Some e as hit ->
+      e.packets <- e.packets + 1;
+      Array.unsafe_set out i hit
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Flow-mods *)
+
+let find_chain t mac =
+  List.find_opt (fun tier -> Net.Mac.equal tier.mac mac) t.chains.(chain_slot t mac)
+
+let grow_chains t =
+  let old = t.chains in
+  t.chains <- Array.make (2 * Array.length old) [];
+  Array.iter
+    (List.iter (fun tier ->
+         let i = chain_slot t tier.mac in
+         t.chains.(i) <- tier :: t.chains.(i)))
+    old
+
+(* The tier that holds the rules with match [m], created on first use. *)
+let tier_for t (m : Ofmatch.t) =
+  match m.dl_dst with
+  | None -> t.wild
+  | Some mac -> (
+    match find_chain t mac with
+    | Some tier -> tier
+    | None ->
+      if t.n_chains >= 2 * Array.length t.chains then grow_chains t;
+      let tier = { mac; buckets = [||] } in
+      let i = chain_slot t mac in
+      t.chains.(i) <- tier :: t.chains.(i);
+      t.n_chains <- t.n_chains + 1;
+      tier)
+
+let bucket_for tier priority =
+  let bs = tier.buckets in
+  let n = Array.length bs in
+  let rec pos i = if i < n && bs.(i).priority > priority then pos (i + 1) else i in
+  let i = pos 0 in
+  if i < n && bs.(i).priority = priority then bs.(i)
+  else begin
+    let b = { priority; slots = [||]; len = 0; dead = 0 } in
+    tier.buckets <- Array.concat [Array.sub bs 0 i; [|b|]; Array.sub bs i (n - i)];
     b
+  end
 
 let bucket_push b slot =
   if b.len >= Array.length b.slots then begin
@@ -94,43 +231,68 @@ let bucket_push b slot =
   b.slots.(b.len) <- slot;
   b.len <- b.len + 1
 
-let compact b =
+(* Drops the tombstones once they are the majority; an emptied bucket
+   leaves its tier, and an emptied chain leaves the index. *)
+let compact t tier b =
   if b.dead > b.len / 2 then begin
     let live = Array.of_list (List.filter (fun s -> s.live) (Array.to_list (Array.sub b.slots 0 b.len))) in
     b.slots <- live;
     b.len <- Array.length live;
-    b.dead <- 0
+    b.dead <- 0;
+    if b.len = 0 then begin
+      tier.buckets <- Array.of_list (List.filter (fun b' -> b' != b) (Array.to_list tier.buckets));
+      if Array.length tier.buckets = 0 && tier != t.wild then begin
+        let i = chain_slot t tier.mac in
+        t.chains.(i) <- List.filter (fun c -> c != tier) t.chains.(i);
+        t.n_chains <- t.n_chains - 1
+      end
+    end
   end
 
-let kill t b slot =
+let kill t slot =
   if slot.live then begin
+    let e = slot.entry in
     slot.live <- false;
-    b.dead <- b.dead + 1;
     t.size <- t.size - 1;
-    Strict_index.remove t.index (slot.entry.priority, slot.entry.ofmatch);
-    compact b
+    Strict_index.remove t.index (e.priority, e.ofmatch);
+    let tier = tier_for t e.ofmatch in
+    let b = bucket_for tier e.priority in
+    b.dead <- b.dead + 1;
+    compact t tier b
   end
 
-let iter_buckets t f =
-  List.iter
-    (fun priority ->
-      match Hashtbl.find_opt t.buckets priority with
-      | Some b ->
-        for i = 0 to b.len - 1 do
-          let slot = b.slots.(i) in
-          if slot.live then f b slot
-        done
-      | None -> ())
-    t.priorities
+let iter_tier tier f =
+  Array.iter
+    (fun b ->
+      for i = 0 to b.len - 1 do
+        let slot = b.slots.(i) in
+        if slot.live then f slot
+      done)
+    tier.buckets
 
+let iter_tiers t f =
+  f t.wild;
+  Array.iter (List.iter f) t.chains
+
+(* The live slots [m] subsumes (OF 1.0 non-strict Modify/Delete). A
+   pinned [dl_dst] subsumes only rules in that MAC's chain. *)
+let subsumed t m =
+  let hits = ref [] in
+  let visit tier =
+    iter_tier tier (fun slot ->
+        if Ofmatch.subsumes m slot.entry.ofmatch then hits := slot :: !hits)
+  in
+  (match m.Ofmatch.dl_dst with
+  | Some mac -> Option.iter visit (find_chain t mac)
+  | None -> iter_tiers t visit);
+  !hits
+
+(* The new rule goes in before the one it replaces is killed, so that
+   re-installing a group's rule never empties, drops and rebuilds its
+   bucket and chain. *)
 let add t fm =
   let key = (fm.fm_priority, fm.fm_match) in
-  (match Strict_index.find_opt t.index key with
-  | Some old ->
-    (match Hashtbl.find_opt t.buckets fm.fm_priority with
-    | Some b -> kill t b old
-    | None -> ())
-  | None -> ());
+  let replaced = Strict_index.find_opt t.index key in
   let entry =
     {
       priority = fm.fm_priority;
@@ -140,148 +302,56 @@ let add t fm =
       packets = 0;
     }
   in
-  let slot = { entry; some_entry = Some entry; live = true } in
-  bucket_push (bucket_for t fm.fm_priority) slot;
-  Strict_index.replace t.index key slot;
-  t.size <- t.size + 1
+  let slot = { entry; some_entry = Some entry; seq = t.next_seq; live = true } in
+  t.next_seq <- t.next_seq + 1;
+  bucket_push (bucket_for (tier_for t fm.fm_match) fm.fm_priority) slot;
+  t.size <- t.size + 1;
+  Option.iter (kill t) replaced;
+  Strict_index.replace t.index key slot
 
-let rec apply t fm =
+let clear t =
+  t.wild.buckets <- [||];
+  t.chains <- Array.make initial_chains [];
+  t.n_chains <- 0;
+  Strict_index.reset t.index;
+  t.size <- 0
+
+(* OF 1.0 Modify changes only the actions: the entry keeps its place in
+   the install order and its counters. *)
+let apply t fm =
+  let modify slot = slot.entry.actions <- fm.fm_actions in
   match fm.command with
   | Add -> add t fm
-  | Modify | Modify_strict ->
-    let matched = ref false in
-    let update slot =
-      matched := true;
-      (* Entries are immutable apart from counters; replace in place by
-         re-adding under the entry's own priority. *)
-      add t
-        {
-          fm with
-          command = Add;
-          fm_priority = slot.entry.priority;
-          fm_match = slot.entry.ofmatch;
-        }
-    in
-    (match fm.command with
-    | Modify_strict -> (
-      match Strict_index.find_opt t.index (fm.fm_priority, fm.fm_match) with
-      | Some slot -> update slot
-      | None -> ())
-    | Modify | Add | Delete | Delete_strict ->
-      (* OF 1.0 non-strict semantics: the command applies to every entry
-         the given match subsumes. *)
-      let hits = ref [] in
-      iter_buckets t (fun _ slot ->
-          if Ofmatch.subsumes fm.fm_match slot.entry.ofmatch then hits := slot :: !hits);
-      List.iter update !hits);
-    if not !matched then apply t { fm with command = Add }
-  | Delete ->
-    if Ofmatch.is_any fm.fm_match then begin
-      Hashtbl.reset t.buckets;
-      t.priorities <- [];
-      Strict_index.reset t.index;
-      t.size <- 0
-    end
-    else begin
-      let hits = ref [] in
-      iter_buckets t (fun b slot ->
-          if Ofmatch.subsumes fm.fm_match slot.entry.ofmatch then hits := (b, slot) :: !hits);
-      List.iter (fun (b, slot) -> kill t b slot) !hits
-    end
-  | Delete_strict -> (
+  | Modify_strict -> (
     match Strict_index.find_opt t.index (fm.fm_priority, fm.fm_match) with
-    | Some slot -> (
-      match Hashtbl.find_opt t.buckets fm.fm_priority with
-      | Some b -> kill t b slot
-      | None -> ())
-    | None -> ())
-
-exception Found of entry
-
-let peek t ctx =
-  match
-    iter_buckets t (fun _ slot ->
-        if Ofmatch.matches slot.entry.ofmatch ctx then raise_notrace (Found slot.entry))
-  with
-  | () -> None
-  | exception Found e -> Some e
-
-let lookup t ctx =
-  t.lookups <- t.lookups + 1;
-  match peek t ctx with
-  | None -> None
-  | Some e ->
-    e.packets <- e.packets + 1;
-    Some e
-
-(* Batched lookup: resolving the priority list and its hashtable
-   probes once per burst instead of once per packet. The snapshot is an
-   array of live buckets in descending-priority order (the one
-   amortized per-burst allocation); each packet then scans plain
-   arrays. *)
-type snapshot = bucket array
-
-let snapshot t =
-  Array.of_list
-    (List.filter_map (fun p -> Hashtbl.find_opt t.buckets p) t.priorities)
-
-(* Top-level recursion rather than a nested [go] closure: the scan runs
-   once per packet and must not capture. Bounds: [bi] is checked
-   against the snapshot length and [si] against the bucket's live
-   length before every unsafe read. *)
-let[@lint.zero_alloc] rec scan_from snapshot ctx bi si =
-  if bi >= Array.length snapshot then None
-  else begin
-    let b = Array.unsafe_get snapshot bi in
-    if si >= b.len then scan_from snapshot ctx (bi + 1) 0
-    else begin
-      let slot = Array.unsafe_get b.slots si in
-      if slot.live && Ofmatch.matches slot.entry.ofmatch ctx then
-        slot.some_entry
-      else scan_from snapshot ctx bi (si + 1)
-    end
-  end
-
-let[@lint.zero_alloc] snapshot_peek snapshot ctx = scan_from snapshot ctx 0 0
-
-let[@lint.zero_alloc] peek_batch t ctxs out =
-  if Array.length out < Array.length ctxs then
-    invalid_arg "Flow_table.peek_batch: output array shorter than input";
-  let snapshot = snapshot t in
-  for i = 0 to Array.length ctxs - 1 do
-    Array.unsafe_set out i (scan_from snapshot (Array.unsafe_get ctxs i) 0 0)
-  done
-
-let[@lint.zero_alloc] lookup_batch t ctxs out =
-  if Array.length out < Array.length ctxs then
-    invalid_arg "Flow_table.lookup_batch: output array shorter than input";
-  t.lookups <- t.lookups + Array.length ctxs;
-  let snapshot = snapshot t in
-  for i = 0 to Array.length ctxs - 1 do
-    match scan_from snapshot (Array.unsafe_get ctxs i) 0 0 with
-    | None -> Array.unsafe_set out i None
-    | Some e as hit ->
-      e.packets <- e.packets + 1;
-      Array.unsafe_set out i hit
-  done
+    | Some slot -> modify slot
+    | None -> add t fm)
+  | Modify -> (
+    match subsumed t fm.fm_match with
+    | [] -> add t fm
+    | hits -> List.iter modify hits)
+  | Delete ->
+    if Ofmatch.is_any fm.fm_match then clear t
+    else List.iter (kill t) (subsumed t fm.fm_match)
+  | Delete_strict ->
+    Option.iter (kill t) (Strict_index.find_opt t.index (fm.fm_priority, fm.fm_match))
 
 let entries t =
   let acc = ref [] in
-  iter_buckets t (fun _ slot -> acc := slot.entry :: !acc);
-  List.rev !acc
+  iter_tiers t (fun tier -> iter_tier tier (fun slot -> acc := slot :: !acc));
+  List.sort
+    (fun a b ->
+      if a.entry.priority <> b.entry.priority then Int.compare b.entry.priority a.entry.priority
+      else Int.compare a.seq b.seq)
+    !acc
+  |> List.map (fun slot -> slot.entry)
 
 let size t = t.size
 let lookups t = t.lookups
 
-let clear t =
-  Hashtbl.reset t.buckets;
-  t.priorities <- [];
-  Strict_index.reset t.index;
-  t.size <- 0
-
 let pp ppf t =
   List.iter
-    (fun e ->
+    (fun (e : entry) ->
       Fmt.pf ppf "prio=%-5d %a -> %a (pkts=%d)@." e.priority Ofmatch.pp e.ofmatch
         Action.pp_list e.actions e.packets)
     (entries t)

@@ -1,9 +1,18 @@
-(** Priority flow table with OpenFlow 1.0 flow-mod semantics. *)
+(** Priority flow table with OpenFlow 1.0 flow-mod semantics.
+
+    Lookup cost: rules that pin [dl_dst] are hashed on that MAC, so a
+    packet costs one hash probe plus a walk of the rules sharing its
+    destination MAC, plus a scan of the rules that wildcard [dl_dst]
+    down to the priority of the indexed hit. With the supercharger's
+    per-group VMAC rules that is O(1) in the number of groups. Tie-break
+    (as OF 1.0): highest priority first, then earliest install, across
+    indexed and wildcard rules alike. *)
 
 type entry = {
   priority : int;
   ofmatch : Ofmatch.t;
-  actions : Action.t list;
+  mutable actions : Action.t list;
+      (** the only field a [Modify] changes *)
   cookie : int64;
   mutable packets : int;  (** match counter *)
 }
@@ -13,8 +22,9 @@ type command =
       (** insert; replaces an entry with identical match and priority *)
   | Modify
       (** update actions of all entries the given match {e subsumes}
-          (OF 1.0 non-strict semantics) *)
-  | Modify_strict  (** exact match and priority *)
+          (OF 1.0 non-strict semantics); each entry keeps its install
+          position and its packet counter *)
+  | Modify_strict  (** as [Modify], for the exact match and priority *)
   | Delete
       (** remove all entries the given match subsumes; [Ofmatch.any]
           deletes everything *)
@@ -49,34 +59,22 @@ val lookup : t -> Ofmatch.context -> entry option
 val peek : t -> Ofmatch.context -> entry option
 (** Same selection as {!lookup} but touches no counters — the probe the
     differential checker uses to resolve a hypothetical packet without
-    perturbing switch statistics. *)
+    perturbing switch statistics. Allocation-free: the [Some] is the
+    cell stored at install time. *)
 
 val lookup_batch : t -> Ofmatch.context array -> entry option array -> unit
 (** [lookup_batch t ctxs out] is pointwise {!lookup} over the burst,
-    writing [out.(i)] for [ctxs.(i)]: the priority-bucket walk is set
-    up once for the whole batch (the only allocation) and the
-    table-level counter bumped once by the batch size. Per-entry packet
-    counters advance exactly as under sequential {!lookup}. The output
-    array is caller-owned — allocate once, reuse across bursts. The
-    returned [Some] cells are shared with the table (allocated at
-    install time), so the per-packet loop allocates nothing; enforced
-    by [hot-path-alloc]. Raises [Invalid_argument] if [out] is shorter
-    than [ctxs]. *)
+    writing [out.(i)] for [ctxs.(i)], with the table-level counter
+    bumped once by the batch size. Per-entry packet counters advance
+    exactly as under sequential {!lookup}. The output array is
+    caller-owned — allocate once, reuse across bursts. The returned
+    [Some] cells are shared with the table (allocated at install time),
+    so the lookup allocates nothing; enforced statically by
+    [hot-path-alloc] and at runtime by the test suite. Raises
+    [Invalid_argument] if [out] is shorter than [ctxs]. *)
 
 val peek_batch : t -> Ofmatch.context array -> entry option array -> unit
 (** Counter-free variant of {!lookup_batch}; pointwise {!peek}. *)
-
-type snapshot
-(** The per-burst scan state: the live priority buckets resolved once.
-    A snapshot is coherent until the next flow-mod; batch callers build
-    one per burst ({!Switch.resolve_batch} does). *)
-
-val snapshot : t -> snapshot
-(** The one amortized per-burst allocation behind the batch lookups. *)
-
-val snapshot_peek : snapshot -> Ofmatch.context -> entry option
-(** One counter-free lookup against a prepared snapshot; allocation-free
-    (the [Some] is the stored install-time cell). *)
 
 val entries : t -> entry list
 (** Priority-descending (lookup) order. *)

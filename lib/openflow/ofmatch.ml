@@ -34,46 +34,41 @@ type context = {
   mutable frame : Net.Ethernet.frame;
 }
 
-(* For ARP frames, OpenFlow 1.0 overlays the network fields: nw_src/nw_dst
-   are the ARP sender/target addresses and nw_proto is the opcode. *)
-let ip_fields (frame : Net.Ethernet.frame) =
-  match frame.payload with
-  | Net.Ethernet.Ipv4 p ->
-    let proto = Net.Ipv4_packet.protocol_number p in
-    let tp =
-      match p.payload with
-      | Net.Ipv4_packet.Udp u -> Some (u.Net.Udp.src_port, u.Net.Udp.dst_port)
-      | Net.Ipv4_packet.Raw _ -> None
-    in
-    Some (p.src, p.dst, proto, tp)
-  | Net.Ethernet.Arp a ->
-    let opcode = match a.op with Net.Arp.Request -> 1 | Net.Arp.Reply -> 2 in
-    Some (a.sender_ip, a.target_ip, opcode, None)
-
-let field_ok check = function None -> true | Some expected -> check expected
-
-let matches t ctx =
-  let frame = ctx.frame in
-  field_ok (fun p -> p = ctx.arrival_port) t.in_port
-  && field_ok (fun m -> Net.Mac.equal m frame.src) t.dl_src
-  && field_ok (fun m -> Net.Mac.equal m frame.dst) t.dl_dst
-  && field_ok (fun ty -> ty = Net.Ethernet.ethertype frame) t.dl_type
+(* Field-by-field, with no closures and no intermediate tuple: this runs
+   once per rule tried per packet. For ARP frames, OpenFlow 1.0 overlays
+   the network fields: nw_src/nw_dst are the ARP sender/target addresses
+   and nw_proto is the opcode; ARP frames have no transport ports. *)
+let[@lint.zero_alloc] ip_ok t (p : Net.Ipv4_packet.t) =
+  (match t.nw_src with None -> true | Some pfx -> Net.Prefix.mem p.src pfx)
+  && (match t.nw_dst with None -> true | Some pfx -> Net.Prefix.mem p.dst pfx)
+  && (match t.nw_proto with
+     | None -> true
+     | Some pr -> pr = Net.Ipv4_packet.protocol_number p)
   &&
-  match ip_fields frame with
-  | None ->
-    Option.is_none t.nw_src && Option.is_none t.nw_dst
-    && Option.is_none t.nw_proto && Option.is_none t.tp_src
-    && Option.is_none t.tp_dst
-  | Some (src, dst, proto, tp) ->
-    field_ok (fun p -> Net.Prefix.mem src p) t.nw_src
-    && field_ok (fun p -> Net.Prefix.mem dst p) t.nw_dst
-    && field_ok (fun pr -> pr = proto) t.nw_proto
-    && field_ok
-         (fun port -> match tp with Some (s, _) -> s = port | None -> false)
-         t.tp_src
-    && field_ok
-         (fun port -> match tp with Some (_, d) -> d = port | None -> false)
-         t.tp_dst
+  match p.payload with
+  | Net.Ipv4_packet.Udp u ->
+    (match t.tp_src with None -> true | Some port -> port = u.Net.Udp.src_port)
+    && (match t.tp_dst with None -> true | Some port -> port = u.Net.Udp.dst_port)
+  | Net.Ipv4_packet.Raw _ -> Option.is_none t.tp_src && Option.is_none t.tp_dst
+
+let[@lint.zero_alloc] arp_ok t (a : Net.Arp.t) =
+  (match t.nw_src with None -> true | Some pfx -> Net.Prefix.mem a.sender_ip pfx)
+  && (match t.nw_dst with None -> true | Some pfx -> Net.Prefix.mem a.target_ip pfx)
+  && (match t.nw_proto with
+     | None -> true
+     | Some pr -> pr = (match a.op with Net.Arp.Request -> 1 | Net.Arp.Reply -> 2))
+  && Option.is_none t.tp_src && Option.is_none t.tp_dst
+
+let[@lint.zero_alloc] matches t ctx =
+  let frame = ctx.frame in
+  (match t.in_port with None -> true | Some p -> p = ctx.arrival_port)
+  && (match t.dl_src with None -> true | Some m -> Net.Mac.equal m frame.src)
+  && (match t.dl_dst with None -> true | Some m -> Net.Mac.equal m frame.dst)
+  && (match t.dl_type with None -> true | Some ty -> ty = Net.Ethernet.ethertype frame)
+  &&
+  match frame.payload with
+  | Net.Ethernet.Ipv4 p -> ip_ok t p
+  | Net.Ethernet.Arp a -> arp_ok t a
 
 let equal a b =
   Option.equal Int.equal a.in_port b.in_port

@@ -77,6 +77,17 @@ let output t port frame =
 let send_to_controllers t msg =
   List.iter (fun f -> f msg) (List.rev t.controllers)
 
+(* Where an action list sends a frame: its explicit outputs, then, for
+   a flood, every attached port but [except]. Without a flood the
+   action's own port list is returned as is, uncopied. *)
+let egress t ~except ports flood =
+  if not flood then ports
+  else
+    ports
+    @ List.filter
+        (fun p -> p <> except && Option.is_some t.port_tx.(p))
+        (List.init (Array.length t.port_tx) Fun.id)
+
 (* The match-and-action step shared by the single-packet and batched
    receive paths. Control-plane side effects (packet-ins, drop/punt
    accounting) happen immediately; the returned [(port, frame)] list is
@@ -100,14 +111,7 @@ let process_frame t ~port frame entry_opt =
       Obs.Metrics.incr t.m_packet_ins;
       send_to_controllers t (Message.Packet_in { in_port = port; frame = rewritten })
     end;
-    let flood_ports =
-      if flood then
-        List.filter
-          (fun p -> p <> port && Option.is_some t.port_tx.(p))
-          (List.init (Array.length t.port_tx) Fun.id)
-      else []
-    in
-    let all_ports = ports @ flood_ports in
+    let all_ports = egress t ~except:port ports flood in
     if all_ports = [] && not punt then begin
       t.dropped <- t.dropped + 1;
       []
@@ -124,9 +128,8 @@ let receive t ~port frame =
       (Sim.Engine.schedule_after t.engine t.forward_latency (fun () ->
            List.iter (fun (out_port, f) -> output t out_port f) outs))
 
-(* Batched data-plane input: one flow-table traversal setup
-   (Flow_table.lookup_batch) and one scheduled pipeline event for the
-   whole burst, instead of per-packet hashtable walks and per-packet
+(* Batched data-plane input: one Flow_table.lookup_batch call and one
+   scheduled pipeline event for the whole burst, instead of per-packet
    events. Outputs leave in arrival order at the same instant the
    single-packet path would have emitted them. *)
 let receive_batch t ~port frames =
@@ -167,33 +170,25 @@ let resolution_of t ~port frame entry_opt =
     in
     if punt then Punt
     else
-      let flood_ports =
-        if flood then
-          List.filter
-            (fun p -> p <> port && Option.is_some t.port_tx.(p))
-            (List.init (Array.length t.port_tx) Fun.id)
-        else []
-      in
-      (match ports @ flood_ports with
+      match egress t ~except:port ports flood with
       | [] -> Blackhole
-      | out -> Forward (rewritten, out))
+      | out -> Forward (rewritten, out)
 
 let resolve t ~port frame =
   check_port t port;
   let ctx = { Ofmatch.arrival_port = port; frame } in
   resolution_of t ~port frame (Flow_table.peek t.table ctx)
 
-(* Counter-free burst resolution for the checker/bench: one snapshot
-   and one scratch context per burst, then a per-frame loop that
-   allocates nothing itself. [resolution_of] is the documented trust
-   boundary — a [Forward] resolution inherently carries a fresh frame
-   and port list, and only matching packets pay for it. *)
+(* Counter-free burst resolution for the checker/bench: one scratch
+   context per burst, then a per-frame loop that allocates nothing
+   itself. [resolution_of] is the documented trust boundary — a
+   [Forward] resolution inherently carries a fresh frame and port list,
+   and only matching packets pay for it. *)
 let[@lint.zero_alloc] resolve_batch t ~port frames out =
   check_port t port;
   if Array.length out < Array.length frames then
     invalid_arg "Switch.resolve_batch: output array shorter than input";
   if Array.length frames > 0 then begin
-    let snapshot = Flow_table.snapshot t.table in
     let ctx =
       ({ Ofmatch.arrival_port = port; frame = Array.unsafe_get frames 0 }
       [@lint.allow "hot-path-alloc"])
@@ -202,8 +197,7 @@ let[@lint.zero_alloc] resolve_batch t ~port frames out =
     for i = 0 to Array.length frames - 1 do
       let frame = Array.unsafe_get frames i in
       ctx.Ofmatch.frame <- frame;
-      Array.unsafe_set out i
-        (resolution_of t ~port frame (Flow_table.snapshot_peek snapshot ctx))
+      Array.unsafe_set out i (resolution_of t ~port frame (Flow_table.peek t.table ctx))
     done
   end
 
@@ -253,14 +247,7 @@ let handle_controller_message t reply_to msg =
     let { Action.frame = rewritten; ports; flood; to_controller = _ } =
       Action.apply actions frame
     in
-    let flood_ports =
-      if flood then
-        List.filter
-          (fun p -> Option.is_some t.port_tx.(p))
-          (List.init (Array.length t.port_tx) Fun.id)
-      else []
-    in
-    List.iter (fun port -> output t port rewritten) (ports @ flood_ports)
+    List.iter (fun port -> output t port rewritten) (egress t ~except:(-1) ports flood)
   | Message.Echo_reply _ | Message.Features_reply _ | Message.Packet_in _
   | Message.Barrier_reply _ ->
     () (* switch-to-controller messages: ignore if echoed back *)

@@ -36,8 +36,7 @@ val receive : t -> port:int -> Net.Ethernet.frame -> unit
 
 val receive_batch : t -> port:int -> Net.Ethernet.frame array -> unit
 (** Data-plane input for a burst arriving back to back on one port:
-    one flow-table traversal setup and one scheduled pipeline event for
-    the whole batch. Per-frame semantics (matching, counters,
+    one scheduled pipeline event for the whole batch. Per-frame semantics (matching, counters,
     packet-ins, output order and timing) are identical to calling
     {!receive} on each frame in sequence. *)
 
@@ -87,8 +86,8 @@ val resolve : t -> port:int -> Net.Ethernet.frame -> resolution
 val resolve_batch :
   t -> port:int -> Net.Ethernet.frame array -> resolution array -> unit
 (** [resolve_batch t ~port frames out] is pointwise {!resolve} over the
-    burst, writing [out.(i)] for [frames.(i)] and sharing one
-    table-traversal setup and one scratch match context. Equally
+    burst, writing [out.(i)] for [frames.(i)] and sharing one scratch
+    match context. Equally
     side-effect-free. The output array is caller-owned — allocate once,
     reuse across bursts; the per-frame loop allocates nothing beyond
     the resolutions themselves (enforced by [hot-path-alloc]). Raises

@@ -528,6 +528,8 @@ let meta_tests =
               "Net.Flat_fib.lookup_value";
               "Net.Flat_fib.lookup_batch";
               "Openflow.Flow_table.lookup_batch";
+              "Openflow.Flow_table.peek";
+              "Openflow.Ofmatch.matches";
               "Openflow.Switch.resolve_batch";
               "Supercharger.Fib_cache.resolve_batch";
             ]);

@@ -164,6 +164,66 @@ let subsumes_tests =
 let fm ?(priority = 100) command m actions =
   Flow_table.flow_mod ~priority command m actions
 
+(* The reference the bucketed table is checked against: OF 1.0
+   flow-mod semantics interpreted over an insertion-ordered list of
+   (priority, match, install seq, actions), oldest first. *)
+module Naive = struct
+  type t = {
+    mutable rules : (int * Ofmatch.t * int * Action.t list) list;
+    mutable seq : int;
+  }
+
+  let create () = { rules = []; seq = 0 }
+
+  let apply r (f : Flow_table.flow_mod) =
+    r.seq <- r.seq + 1;
+    let strict (p, m, _, _) = p = f.fm_priority && Ofmatch.equal m f.fm_match in
+    (* Non-strict commands use OF 1.0 subsumption. *)
+    let loose (_, m, _, _) = Ofmatch.subsumes f.fm_match m in
+    let add () =
+      r.rules <-
+        List.filter (fun e -> not (strict e)) r.rules
+        @ [(f.fm_priority, f.fm_match, r.seq, f.fm_actions)]
+    in
+    match f.command with
+    | Flow_table.Add -> add ()
+    | Flow_table.Modify | Flow_table.Modify_strict ->
+      let pred = if f.command = Flow_table.Modify then loose else strict in
+      if List.exists pred r.rules then
+        r.rules <-
+          List.map
+            (fun ((p, m, sq, _) as e) -> if pred e then (p, m, sq, f.fm_actions) else e)
+            r.rules
+      else add ()
+    | Flow_table.Delete ->
+      if Ofmatch.is_any f.fm_match then r.rules <- []
+      else r.rules <- List.filter (fun e -> not (loose e)) r.rules
+    | Flow_table.Delete_strict -> r.rules <- List.filter (fun e -> not (strict e)) r.rules
+
+  (* Highest priority, then earliest install. *)
+  let lookup r c =
+    List.fold_left
+      (fun acc (p, m, sq, actions) ->
+        if Ofmatch.matches m c then
+          match acc with
+          | Some (bp, bsq, _) when bp > p || (bp = p && bsq < sq) -> acc
+          | _ -> Some (p, sq, actions)
+        else acc)
+      None r.rules
+    |> Option.map (fun (p, _, actions) -> (p, actions))
+
+  let size r = List.length r.rules
+end
+
+(* The table and the reference pick the same rule for [c]: same
+   priority and same actions. *)
+let agrees table reference c =
+  match Naive.lookup reference c, Flow_table.lookup table c with
+  | None, None -> true
+  | Some (p, actions), Some e ->
+    e.Flow_table.priority = p && List.equal Action.equal e.Flow_table.actions actions
+  | Some _, None | None, Some _ -> false
+
 let flow_table_tests =
   [
     Alcotest.test_case "higher priority wins" `Quick (fun () ->
@@ -253,98 +313,116 @@ let flow_table_tests =
     Test_seed.to_alcotest
       (QCheck.Test.make ~name:"bucketed table behaves like a naive reference" ~count:300
          (* Random flow-mod programs over a small universe of matches and
-            priorities, then compare lookups against a straightforward
-            sorted-list interpreter. *)
+            priorities, then compare lookups against the reference. The
+            universe mixes indexed (exact dl_dst) and scanned rules at
+            shared priorities. *)
          QCheck.(
            pair
-             (small_list (pair (pair (0 -- 4) (0 -- 2)) (pair (0 -- 3) (0 -- 4))))
-             (small_list (0 -- 4)))
+             (small_list (pair (pair (0 -- 4) (0 -- 7)) (pair (0 -- 3) (0 -- 4))))
+             (small_list (0 -- 6)))
          (fun (program, probes) ->
+           let mac2 = mac "00:bb:00:00:00:02" and mac3 = mac "00:bb:00:00:00:03" in
            let matches =
              [|
                Ofmatch.any;
-               Ofmatch.dl_dst (mac "00:bb:00:00:00:02");
+               Ofmatch.dl_dst mac2;
                Ofmatch.make ~dl_type:0x0800 ();
                Ofmatch.make ~nw_proto:17 ();
                Ofmatch.make ~in_port:1 ();
+               Ofmatch.dl_dst mac3;
+               Ofmatch.make ~dl_dst:mac2 ~dl_type:0x0800 ();
+               Ofmatch.make ~dl_dst:mac3 ~in_port:1 ();
              |]
            in
            let frames =
              [|
                ctx (udp_frame ());
-               ctx ~port:1 (udp_frame ~dst:(mac "00:bb:00:00:00:03") ());
+               ctx ~port:1 (udp_frame ~dst:mac3 ());
                ctx arp_request_frame;
-               ctx (udp_frame ~dst:(mac "00:bb:00:00:00:02") ());
+               ctx (udp_frame ~dst:mac2 ());
                ctx ~port:1 (udp_frame ());
+               ctx (udp_frame ~dst:mac3 ());
+               ctx
+                 (Net.Ethernet.make ~src:(mac "00:aa:00:00:00:01") ~dst:mac2
+                    arp_request_frame.Net.Ethernet.payload);
              |]
            in
-           (* Reference: insertion-ordered list, stable sort by priority. *)
-           let reference = ref [] (* (priority, match idx, seq, actions) newest last *) in
-           let seq = ref 0 in
+           let reference = Naive.create () in
            let table = Flow_table.create () in
            List.iter
-             (fun (((cmd_idx, m_idx), (prio_idx, act))) ->
+             (fun ((cmd_idx, m_idx), (prio_idx, act)) ->
                let command =
                  [| Flow_table.Add; Flow_table.Modify_strict; Flow_table.Delete;
                     Flow_table.Delete_strict; Flow_table.Modify |].(cmd_idx)
                in
-               let priority = 10 * (prio_idx + 1) in
-               let m = matches.(m_idx) in
-               let actions = [Action.Output act] in
-               Flow_table.apply table (fm ~priority command m actions);
-               incr seq;
-               let strict (p, mi, _, _) = p = priority && mi = m_idx in
-               (* Non-strict commands use OF 1.0 subsumption. *)
-               let loose (_, mi, _, _) = Ofmatch.subsumes m matches.(mi) in
-               (match command with
-               | Flow_table.Add ->
-                 reference :=
-                   List.filter (fun e -> not (strict e)) !reference
-                   @ [(priority, m_idx, !seq, actions)]
-               | Flow_table.Modify | Flow_table.Modify_strict ->
-                 let pred = if command = Flow_table.Modify then loose else strict in
-                 if List.exists pred !reference then
-                   reference :=
-                     List.map
-                       (fun ((p, mi, sq, _) as e) ->
-                         if pred e then (p, mi, sq, actions) else e)
-                       !reference
-                 else
-                   reference :=
-                     List.filter (fun e -> not (strict e)) !reference
-                     @ [(priority, m_idx, !seq, actions)]
-               | Flow_table.Delete ->
-                 if Ofmatch.is_any m then reference := []
-                 else reference := List.filter (fun e -> not (loose e)) !reference
-               | Flow_table.Delete_strict ->
-                 reference := List.filter (fun e -> not (strict e)) !reference))
+               let f =
+                 fm ~priority:(10 * (prio_idx + 1)) command matches.(m_idx)
+                   [Action.Output act]
+               in
+               Flow_table.apply table f;
+               Naive.apply reference f)
              program;
-           let reference_lookup c =
-             let best =
-               List.fold_left
-                 (fun acc ((p, mi, sq, actions) as _e) ->
-                   if Ofmatch.matches matches.(mi) c then
-                     match acc with
-                     | Some (bp, bsq, _) when bp > p || (bp = p && bsq < sq) -> acc
-                     | _ -> Some (p, sq, actions)
-                   else acc)
-                 None !reference
+           List.for_all (fun f_idx -> agrees table reference frames.(f_idx)) probes
+           && Flow_table.size table = Naive.size reference));
+    Test_seed.to_alcotest
+      (QCheck.Test.make ~name:"long delete runs compact without reordering" ~count:60
+         (* 48 rules, half scanned and half indexed under two MACs, most
+            at one shared priority, deleted one by one in random order:
+            the buckets compact several times along the way, and every
+            intermediate table must still pick the reference's rule. *)
+         QCheck.(list_of_size (Gen.return 48) small_nat)
+         (fun keys ->
+           let mac2 = mac "00:bb:00:00:00:02" and mac3 = mac "00:bb:00:00:00:03" in
+           let rule i =
+             let k = i / 2 in
+             (* for odd k the indexed rule is installed first *)
+             let m =
+               if (i + k) mod 2 = 0 then
+                 Ofmatch.make ~in_port:(k mod 12) ~dl_type:(if k < 12 then 0x0800 else 0x0806) ()
+               else Ofmatch.make ~dl_dst:(if k mod 3 = 0 then mac3 else mac2) ~in_port:k ()
              in
-             Option.map (fun (p, _, actions) -> (p, actions)) best
+             fm ~priority:(if k mod 6 = 5 then 20 else 10) Flow_table.Add m [Action.Output i]
            in
-           (* Modify re-adds move entries to the end of their bucket, so
-              equal-priority tie order may differ from the reference after
-              a Modify; compare priority and actions only when priorities
-              are unambiguous, else just priorities. *)
-           List.for_all
-             (fun f_idx ->
-               let c = frames.(f_idx) in
-               match reference_lookup c, Flow_table.lookup table c with
-               | None, None -> true
-               | Some (p, _), Some e -> e.Flow_table.priority = p
-               | Some _, None | None, Some _ -> false)
-             probes
-           && Flow_table.size table = List.length !reference));
+           let rules = List.init 48 rule in
+           let table = Flow_table.create () and reference = Naive.create () in
+           List.iter (fun f -> Flow_table.apply table f; Naive.apply reference f) rules;
+           let probes =
+             List.concat_map
+               (fun port ->
+                 [ ctx ~port (udp_frame ~dst:mac2 ()); ctx ~port (udp_frame ~dst:mac3 ());
+                   ctx ~port arp_request_frame ])
+               (List.init 24 Fun.id)
+           in
+           let order =
+             List.map snd
+               (List.sort compare (List.mapi (fun i key -> (key, i)) keys))
+           in
+           List.for_all (agrees table reference) probes
+           && List.for_all
+                (fun i ->
+                  let f = { (List.nth rules i) with Flow_table.command = Flow_table.Delete_strict } in
+                  Flow_table.apply table f;
+                  Naive.apply reference f;
+                  Flow_table.size table = Naive.size reference
+                  && List.for_all (agrees table reference) probes)
+                order
+           && Flow_table.size table = 0));
+    Alcotest.test_case "modify keeps install position and packet counter" `Quick
+      (fun () ->
+        let t = Flow_table.create () in
+        let first = Ofmatch.make ~dl_type:0x0800 () and second = Ofmatch.make ~nw_proto:17 () in
+        Flow_table.apply t (fm Flow_table.Add first [Action.Output 1]);
+        Flow_table.apply t (fm Flow_table.Add second [Action.Output 2]);
+        ignore (Flow_table.lookup t (ctx (udp_frame ())));
+        Flow_table.apply t (fm Flow_table.Modify_strict first [Action.Output 3]);
+        Flow_table.apply t (fm Flow_table.Modify first [Action.Output 4]);
+        match Flow_table.lookup t (ctx (udp_frame ())) with
+        | Some e ->
+          Alcotest.(check bool) "the earlier install still wins, with new actions" true
+            (Ofmatch.equal e.Flow_table.ofmatch first
+            && e.Flow_table.actions = [Action.Output 4]);
+          Alcotest.(check int) "counter kept" 2 e.Flow_table.packets
+        | None -> Alcotest.fail "no match");
     Alcotest.test_case "lookup counts packets" `Quick (fun () ->
         let t = Flow_table.create () in
         Flow_table.apply t (fm Flow_table.Add Ofmatch.any [Action.Output 1]);
@@ -585,6 +663,47 @@ let batch_tests =
         List.iter
           (fun e -> Alcotest.(check int) "packets untouched" 0 e.Flow_table.packets)
           (Flow_table.entries t));
+    Alcotest.test_case "lookups allocate nothing at runtime" `Quick (fun () ->
+        (* The runtime counterpart of the static [hot-path-alloc] gate:
+           the paper's table shape, 56 per-group VMAC rules (8 peers)
+           under a higher-priority ARP wildcard rule. *)
+        let t = Flow_table.create () in
+        Flow_table.apply t
+          (fm ~priority:200 Flow_table.Add (Ofmatch.make ~dl_type:0x0806 ~nw_proto:1 ())
+             [Action.To_controller]);
+        let vmac i = Net.Mac.of_int64 (Int64.add 0x0200_0000_0000L (Int64.of_int i)) in
+        for i = 0 to 55 do
+          Flow_table.apply t
+            (fm Flow_table.Add (Ofmatch.dl_dst (vmac i))
+               [Action.Set_dl_dst (mac "00:bb:00:00:00:01"); Action.Output (1 + (i mod 8))])
+        done;
+        let ctxs =
+          Array.append
+            (Array.init 56 (fun i -> ctx (udp_frame ~dst:(vmac i) ())))
+            [| ctx arp_request_frame; ctx (udp_frame ~dst:(mac "00:dd:00:00:00:09") ()) |]
+        in
+        let out = Array.make (Array.length ctxs) None in
+        let rounds = 1000 in
+        let words f =
+          f ();
+          let before = Gc.minor_words () in
+          for _ = 1 to rounds do
+            f ()
+          done;
+          Gc.minor_words () -. before
+        in
+        let overhead = words (fun () -> ()) in
+        let peek () =
+          for i = 0 to Array.length ctxs - 1 do
+            ignore (Flow_table.peek t ctxs.(i))
+          done
+        in
+        let batch () = Flow_table.lookup_batch t ctxs out in
+        Alcotest.(check (float 0.)) "peek: words" overhead (words peek);
+        Alcotest.(check (float 0.)) "lookup_batch: words" overhead (words batch);
+        Alcotest.(check bool) "every VMAC hits its rule, the ARP rule and the miss resolve"
+          true
+          (Array.for_all Option.is_some (Array.sub out 0 57) && Option.is_none out.(57)));
     Alcotest.test_case "switch resolve_batch = pointwise resolve" `Quick
       (fun () ->
         let _, sw, _ = make_switch () in
