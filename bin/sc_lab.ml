@@ -211,15 +211,55 @@ let fig5_cmd =
   Cmd.v (Cmd.info "fig5" ~doc:"Reproduce Fig. 5 (convergence vs table size).")
     Term.(const run $ sizes_arg $ reps_arg $ flows_arg $ csv_arg $ json_arg)
 
+(* --- the three differential checkers ------------------------------------ *)
+
+let schedules_arg default =
+  Arg.(
+    value & opt int default
+    & info ["schedules"] ~docv:"N" ~doc:"Schedules to execute, from consecutive seeds.")
+
+let events_arg default =
+  Arg.(value & opt int default & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
+
+let mutate_arg bug =
+  Arg.(
+    value & flag
+    & info ["mutate"]
+        ~doc:
+          (Fmt.str
+             "Arm the deliberate %s; the checker is expected to find and shrink a \
+              counterexample, and the exit status is inverted accordingly."
+             bug))
+
+(* One reporter for every checker: runs the matrix, prints PASS or FAIL
+   with the CPU time taken, and exits 0 on PASS, 1 on FAIL. Under
+   [--mutate] the planted bug must be caught, so a failure is the PASS. *)
+let report ~mutate ~clean (m : (_, _) Check.Harness.matrix) =
+  let n = List.length m.seeds in
+  let every = max 1 (n / 10) in
+  let t0 = Sys.time () in
+  let result =
+    Check.Harness.run m ~progress:(fun i ->
+        if i > 0 && i mod every = 0 then Fmt.epr "  ... %d/%d clean@." i n)
+  in
+  let dt = Sys.time () -. t0 in
+  match result, mutate with
+  | None, false ->
+    Fmt.pr "PASS: %d schedules, %s (%.1fs)@." n clean dt;
+    exit 0
+  | None, true ->
+    Fmt.pr "FAIL: the armed mutation survived %d schedules undetected (%.1fs)@." n dt;
+    exit 1
+  | Some f, false ->
+    Fmt.pr "FAIL (%.1fs):@.%a" dt (Check.Harness.pp_failure m.pp) f;
+    exit 1
+  | Some f, true ->
+    Fmt.pr "PASS (%.1fs): mutation caught and shrunk to %d events@.%a" dt
+      (List.length (m.steps f.shrunk))
+      (Check.Harness.pp_failure m.pp) f;
+    exit 0
+
 let check_cmd =
-  let schedules_arg =
-    Arg.(
-      value & opt int 50
-      & info ["schedules"] ~docv:"N" ~doc:"Random schedules to execute.")
-  in
-  let events_arg =
-    Arg.(value & opt int 30 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
-  in
   let check_peers_arg =
     Arg.(value & opt int 3 & info ["peers"] ~docv:"N" ~doc:"Upstream peers.")
   in
@@ -233,53 +273,24 @@ let check_cmd =
       & info ["no-chaos"]
           ~doc:"Disable fault-window events (blackouts, loss, duplicates).")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info ["mutate"]
-          ~doc:
-            "Arm the deliberate Listing 2 bug (one skipped failover rewrite); the \
-             checker is expected to find and shrink a counterexample, and the exit \
-             status is inverted accordingly.")
-  in
   let run schedules events n_peers n_prefixes no_chaos mutate seed =
     Fmt.pr "check: %d schedules x %d events, %d peers, %d prefixes, seed=%Ld%s%s@."
       schedules events n_peers n_prefixes seed
       (if no_chaos then ", chaos off" else "")
       (if mutate then ", MUTATED (skip one failover rewrite)" else "");
-    let t0 = Sys.time () in
-    let result =
-      Check.Run.run_matrix ~n_peers ~n_prefixes ~events ~chaos:(not no_chaos)
-        ~mutate
-        ~progress:(fun i ->
-          if i mod 25 = 0 && i > 0 then Fmt.epr "  ... %d/%d clean@." i schedules)
-        ~seed ~schedules ()
-    in
-    let dt = Sys.time () -. t0 in
-    match result, mutate with
-    | None, false ->
-      Fmt.pr "PASS: %d schedules, zero invariant violations (%.1fs)@." schedules dt;
-      exit 0
-    | None, true ->
-      Fmt.pr "FAIL: the armed mutation survived %d schedules undetected (%.1fs)@."
-        schedules dt;
-      exit 1
-    | Some f, false ->
-      Fmt.pr "FAIL (%.1fs):@.%a" dt Check.Run.pp_failure f;
-      exit 1
-    | Some f, true ->
-      Fmt.pr "PASS (%.1fs): mutation caught and shrunk to %d events@.%a" dt
-        (Check.Schedule.length f.Check.Run.shrunk)
-        Check.Run.pp_failure f;
-      exit 0
+    report ~mutate ~clean:"zero invariant violations"
+      (Check.Run.matrix ~n_peers ~n_prefixes ~events ~chaos:(not no_chaos) ~mutate
+         ~seed ~schedules ())
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Differential checker: random event schedules against the flat-FIB oracle.")
     Term.(
-      const run $ schedules_arg $ events_arg $ check_peers_arg $ check_prefixes_arg
-      $ no_chaos_arg $ mutate_arg $ seed_arg)
+      const run $ schedules_arg 50 $ events_arg 30 $ check_peers_arg
+      $ check_prefixes_arg $ no_chaos_arg
+      $ mutate_arg "Listing 2 bug (one skipped failover rewrite)"
+      $ seed_arg)
 
 let topo_check_cmd =
   let seeds_arg =
@@ -291,9 +302,6 @@ let topo_check_cmd =
   let routers_arg =
     Arg.(value & opt int 8 & info ["routers"] ~docv:"N" ~doc:"Ring size (>= 6).")
   in
-  let events_arg =
-    Arg.(value & opt int 14 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
-  in
   let topo_prefixes_arg =
     Arg.(value & opt int 6 & info ["prefixes"] ~docv:"N" ~doc:"Distinct prefixes.")
   in
@@ -303,21 +311,8 @@ let topo_check_cmd =
       (List.length seeds) events routers n_prefixes
       Fmt.(list ~sep:comma int64)
       seeds;
-    let t0 = Sys.time () in
-    let result =
-      Check.Topo_run.run_matrix ~routers ~n_prefixes ~events
-        ~progress:(fun i -> Fmt.epr "  schedule %d...@." i)
-        ~seeds ()
-    in
-    let dt = Sys.time () -. t0 in
-    match result with
-    | None ->
-      Fmt.pr "PASS: %d multi-node schedules, zero invariant violations (%.1fs)@."
-        (List.length seeds) dt;
-      exit 0
-    | Some f ->
-      Fmt.pr "FAIL (%.1fs):@.%a" dt Check.Topo_run.pp_failure f;
-      exit 1
+    report ~mutate:false ~clean:"zero invariant violations"
+      (Check.Topo_run.matrix ~routers ~n_prefixes ~events ~seeds ())
   in
   Cmd.v
     (Cmd.info "topo-check"
@@ -325,18 +320,9 @@ let topo_check_cmd =
          "Multi-node differential checker: seeded fault schedules (extern/link/srlg \
           failures, controller partitions) on a ring fabric, verified against the \
           ground-truth forwarding oracle at quiescence.")
-    Term.(const run $ seeds_arg $ routers_arg $ events_arg $ topo_prefixes_arg)
+    Term.(const run $ seeds_arg $ routers_arg $ events_arg 14 $ topo_prefixes_arg)
 
 let ribscale_check_cmd =
-  let schedules_arg =
-    Arg.(
-      value & opt int 3
-      & info ["schedules"] ~docv:"N"
-          ~doc:"Schedules to execute, from consecutive seeds.")
-  in
-  let events_arg =
-    Arg.(value & opt int 10 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
-  in
   let rs_peers_arg =
     Arg.(value & opt int 100 & info ["peers"] ~docv:"N" ~doc:"Peers (skewed views).")
   in
@@ -345,48 +331,16 @@ let ribscale_check_cmd =
       value & opt int 60_000
       & info ["entries"] ~docv:"N" ~doc:"Internet-shape table size.")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info ["mutate"]
-          ~doc:
-            "Plant the deliberate stale-route bug (every 7th withdrawal never \
-             reaches the optimised RIB); the checker is expected to catch and \
-             shrink a counterexample, and the exit status is inverted \
-             accordingly.")
-  in
   let run schedules events peers entries mutate seed =
     Fmt.pr
       "ribscale-check: %d schedules x %d events, %d peers, %d-prefix internet \
        table, seed=%Ld%s@."
       schedules events peers entries seed
       (if mutate then ", MUTATED (stale-route bug armed)" else "");
-    let t0 = Sys.time () in
-    let result =
-      Check.Ribscale.run_matrix ~n_peers:peers ~length:events ~entries ~mutate
-        ~progress:(fun i -> Fmt.epr "  schedule %d/%d...@." (i + 1) schedules)
-        ~seed ~schedules ()
-    in
-    let dt = Sys.time () -. t0 in
-    match result, mutate with
-    | None, false ->
-      Fmt.pr
-        "PASS: incremental RIB matched the naive decision process on %d \
-         schedules (%.1fs)@."
-        schedules dt;
-      exit 0
-    | None, true ->
-      Fmt.pr "FAIL: the armed stale-route bug survived %d schedules undetected (%.1fs)@."
-        schedules dt;
-      exit 1
-    | Some f, false ->
-      Fmt.pr "FAIL (%.1fs):@.%a" dt Check.Ribscale.pp_failure f;
-      exit 1
-    | Some f, true ->
-      Fmt.pr "PASS (%.1fs): bug caught and shrunk to %d events@.%a" dt
-        (Check.Ribscale.length f.Check.Ribscale.shrunk)
-        Check.Ribscale.pp_failure f;
-      exit 0
+    report ~mutate
+      ~clean:"incremental RIB matched the naive decision process"
+      (Check.Ribscale.matrix ~n_peers:peers ~length:events ~entries ~mutate ~seed
+         ~schedules ())
   in
   Cmd.v
     (Cmd.info "ribscale-check"
@@ -396,8 +350,10 @@ let ribscale_check_cmd =
           views, withdrawal storms and churn trains, with full ranked-equivalence \
           checking after every event.")
     Term.(
-      const run $ schedules_arg $ events_arg $ rs_peers_arg $ entries_arg
-      $ mutate_arg $ seed_arg)
+      const run $ schedules_arg 3 $ events_arg 10 $ rs_peers_arg $ entries_arg
+      $ mutate_arg
+          "stale-route bug (every 7th withdrawal never reaches the optimised RIB)"
+      $ seed_arg)
 
 let deployment_cmd =
   let routers_arg =

@@ -265,73 +265,29 @@ let[@lint.domain_entry
     in
     run 1 t.steps
 
-(* --- shrinking --------------------------------------------------------- *)
+(* --- the harness instance ---------------------------------------------- *)
 
-let without steps i size = List.filteri (fun j _ -> j < i || j >= i + size) steps
-
-(* Greedy ddmin over the event list, same discipline as
-   Schedule.shrink: halving chunk sizes, then single-step sweeps until
-   a full pass removes nothing. *)
-let shrink ~fails t =
-  if not (fails t) then t
-  else begin
-    let current = ref t in
-    let size = ref (max 1 (length t / 2)) in
-    let continue_ = ref true in
-    while !continue_ do
-      let removed_any = ref false in
-      let i = ref 0 in
-      while !i < length !current do
-        let cand = { !current with steps = without (!current).steps !i !size } in
-        if length cand < length !current && fails cand then begin
-          current := cand;
-          removed_any := true
-        end
-        else i := !i + !size
-      done;
-      if !size > 1 then size := !size / 2
-      else if not !removed_any then continue_ := false
-    done;
-    !current
-  end
-
-(* --- matrix driver ----------------------------------------------------- *)
-
-type failure = {
-  schedule : t;
-  shrunk : t;
-  violations : string list;
-}
-
-let pp_failure ppf f =
-  Fmt.pf ppf "ribscale equivalence FAILED (schedule seed=%Ld, %d events)@."
-    f.schedule.seed (length f.schedule);
-  List.iter (fun v -> Fmt.pf ppf "  violation: %s@." v) f.violations;
-  Fmt.pf ppf "shrunk to %d events:@.%a" (length f.shrunk) pp f.shrunk;
-  Fmt.pf ppf "reproduce: seed=%Ld n_peers=%d@." f.shrunk.seed f.shrunk.n_peers
-
-let run_matrix ?(n_peers = 12) ?(length = 10) ?(entries = 20_000) ?(mutate = false)
-    ?progress ~seed ~schedules () =
-  if schedules < 1 then invalid_arg "Ribscale.run_matrix: schedules";
-  (* One table for the whole matrix: generation at internet shape is
-     pure in the seed, so sharing it changes nothing but wall-clock. *)
-  let entries = Workloads.Rib_gen.generate_internet ~seed ~count:entries in
-  let rec go i =
-    if i >= schedules then None
-    else begin
-      (match progress with Some f -> f i | None -> ());
-      let schedule =
-        generate ~seed:(Int64.add seed (Int64.of_int i)) ~n_peers ~length ()
-      in
-      match execute ~mutate ~entries schedule with
-      | [] -> go (i + 1)
-      | _ :: _ ->
-        let fails t =
-          match execute ~mutate ~entries t with [] -> false | _ :: _ -> true
-        in
-        let shrunk = shrink ~fails schedule in
-        let violations = execute ~mutate ~entries shrunk in
-        Some { schedule; shrunk; violations }
-    end
-  in
-  go 0
+let matrix ?(n_peers = 12) ?(length = 10) ?(entries = 20_000) ?(mutate = false) ~seed
+    ~schedules () =
+  if schedules < 1 then invalid_arg "Ribscale.matrix: schedules";
+  (* One table for the whole matrix, drawn from the matrix seed:
+     generation at internet shape is pure in the seed, so sharing it
+     changes nothing but wall-clock. *)
+  let table = Workloads.Rib_gen.generate_internet ~seed ~count:entries in
+  {
+    Harness.seeds = Harness.consecutive seed schedules;
+    generate = (fun seed -> generate ~seed ~n_peers ~length ());
+    execute = execute ~mutate ~entries:table;
+    steps = (fun t -> t.steps);
+    rebuild = (fun t steps -> { t with steps });
+    pp;
+    (* The table comes from the matrix seed, not the schedule's, so the
+       replay reruns the matrix up to and including schedule [i]. *)
+    reproduce =
+      (fun i _ ->
+        Fmt.str
+          "sc_lab ribscale-check --seed %Ld --schedules %d --entries %d --peers %d \
+           --events %d%s"
+          seed (i + 1) entries n_peers length
+          (if mutate then " --mutate" else ""));
+  }

@@ -63,32 +63,19 @@ val execute : ?mutate:bool -> entries:Workloads.Rib_gen.entry array -> t -> stri
     only (every 7th withdrawal never reaches the RIB) — the harness's
     own canary, as {!Run.execute}'s [mutate] is for the pipeline. *)
 
-val shrink : fails:(t -> bool) -> t -> t
-(** Greedy ddmin chunk removal over the steps, same discipline as
-    {!Schedule.shrink}; returns a schedule that still satisfies
-    [fails], or [t] itself if it does not fail. *)
-
-type failure = {
-  schedule : t;  (** the schedule that first failed *)
-  shrunk : t;  (** its ddmin-minimal counterexample *)
-  violations : string list;  (** violations of the shrunken schedule *)
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-
-val run_matrix :
+val matrix :
   ?n_peers:int ->
   ?length:int ->
   ?entries:int ->
   ?mutate:bool ->
-  ?progress:(int -> unit) ->
   seed:int64 ->
   schedules:int ->
   unit ->
-  failure option
-(** Generates one internet-shape table of [entries] prefixes (default
-    20 000) from [seed], then generates and executes [schedules]
-    schedules from consecutive seeds [seed], [seed+1], …, stopping at
-    the first failure with its shrunken counterexample. [None] means
-    the incremental RIB matched the naive model on every schedule.
-    [progress] is called with each 0-based index before its run. *)
+  (t, event) Harness.matrix
+(** The [sc_lab ribscale-check] instance of the harness. Generates one
+    internet-shape table of [entries] prefixes (default 20 000) from
+    [seed], shared by [schedules] schedules drawn from consecutive
+    seeds [seed], [seed+1], …; each runs through {!execute}. A
+    failure's reproduce line names the matrix seed and the failing
+    schedule's 1-based index as [--schedules], so the replay draws the
+    same table and the same schedule. *)

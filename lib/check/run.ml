@@ -3,23 +3,6 @@ module Prov = Supercharger.Provisioner
 
 let ip = Net.Ipv4.of_string_exn
 
-type failure = {
-  schedule : Schedule.t;
-  shrunk : Schedule.t;
-  violations : string list;
-}
-
-let pp_failure ppf f =
-  Fmt.pf ppf "invariant violations:@.";
-  List.iter (fun v -> Fmt.pf ppf "  - %s@." v) f.violations;
-  Fmt.pf ppf "original %a" Schedule.pp f.schedule;
-  Fmt.pf ppf "shrunken counterexample (%d events) %a" (Schedule.length f.shrunk)
-    Schedule.pp f.shrunk;
-  Fmt.pf ppf
-    "reproduce: sc_lab check --seed %Ld --peers %d --prefixes %d --events %d@."
-    f.shrunk.Schedule.seed f.shrunk.Schedule.n_peers f.shrunk.Schedule.n_prefixes
-    (Schedule.length f.schedule)
-
 (* Upstream BGP channels take duplicates only: BGP has no
    retransmission, so losing or reordering an announcement would change
    the test input, not stress the system (see [Schedule]). *)
@@ -321,29 +304,22 @@ let[@lint.domain_entry
   if !violations = [] then checkpoint "final checkpoint";
   !violations
 
-let run_matrix ?(n_peers = 3) ?(n_prefixes = 12) ?(events = 30) ?(chaos = true)
-    ?(mutate = false) ?progress ~seed ~schedules () =
-  let rec go i =
-    if i >= schedules then None
-    else begin
-      (match progress with Some f -> f i | None -> ());
-      let sched =
-        Schedule.generate
-          ~seed:(Int64.add seed (Int64.of_int i))
-          ~n_peers ~n_prefixes ~length:events ~chaos ()
-      in
-      match execute ~mutate sched with
-      | [] -> go (i + 1)
-      | first_violations ->
-        let shrunk =
-          Schedule.shrink ~fails:(fun s -> execute ~mutate s <> []) sched
-        in
-        let violations =
-          match execute ~mutate shrunk with
-          | [] -> first_violations (* unreachable: shrink preserves failure *)
-          | vs -> vs
-        in
-        Some { schedule = sched; shrunk; violations }
-    end
-  in
-  go 0
+let matrix ?(n_peers = 3) ?(n_prefixes = 12) ?(events = 30) ?(chaos = true)
+    ?(mutate = false) ~seed ~schedules () =
+  {
+    Harness.seeds = Harness.consecutive seed schedules;
+    generate =
+      (fun seed -> Schedule.generate ~seed ~n_peers ~n_prefixes ~length:events ~chaos ());
+    execute = execute ~mutate;
+    steps = (fun s -> s.Schedule.steps);
+    rebuild = (fun s steps -> { s with Schedule.steps });
+    pp = Schedule.pp;
+    reproduce =
+      (fun _ s ->
+        Fmt.str
+          "sc_lab check --seed %Ld --schedules 1 --peers %d --prefixes %d --events \
+           %d%s%s"
+          s.Schedule.seed n_peers n_prefixes events
+          (if chaos then "" else " --no-chaos")
+          (if mutate then " --mutate" else ""));
+  }

@@ -18,35 +18,24 @@
     and keepalive traffic never stops, so engine-queue emptiness can
     never serve as the criterion. *)
 
-type failure = {
-  schedule : Schedule.t;  (** the schedule that first failed *)
-  shrunk : Schedule.t;  (** its ddmin-minimal counterexample *)
-  violations : string list;  (** violations of the shrunken schedule *)
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-(** Prints the violations, the shrunken schedule and the reproduction
-    recipe (seed + dimensions). *)
-
 val execute : ?mutate:bool -> Schedule.t -> string list
 (** Runs one schedule; returns the invariant violations, [[]] on a clean
     pass. [mutate] arms {!Supercharger.Provisioner.mutate_skip_rewrite},
     the deliberate Listing 2 bug the checker must catch. Deterministic:
     the same schedule and flag always return the same result. *)
 
-val run_matrix :
+val matrix :
   ?n_peers:int ->
   ?n_prefixes:int ->
   ?events:int ->
   ?chaos:bool ->
   ?mutate:bool ->
-  ?progress:(int -> unit) ->
   seed:int64 ->
   schedules:int ->
   unit ->
-  failure option
-(** Generates and executes [schedules] schedules from consecutive seeds
-    [seed], [seed+1], … — defaults as in {!Schedule.generate} — and
-    stops at the first failure, returning it with its shrunken
-    counterexample. [None] means every schedule passed. [progress] is
-    called with each 0-based index before its run. *)
+  (Schedule.t, Schedule.step) Harness.matrix
+(** The [sc_lab check] instance of the harness: [schedules] schedules
+    from consecutive seeds [seed], [seed+1], … — defaults as in
+    {!Schedule.generate} — each run by {!execute}. A failure's
+    reproduce line names the failing schedule's own seed and every
+    flag that shaped it, [--no-chaos] and [--mutate] included. *)

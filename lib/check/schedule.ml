@@ -113,34 +113,3 @@ let generate ~seed ?(n_peers = 3) ?(n_prefixes = 12) ?(length = 30) ?(chaos = tr
         { ev; dwell_ms = Sim.Rng.int rng 150 })
   in
   { seed; n_peers; n_prefixes; steps }
-
-(* Remove [size] steps starting at index [i]. *)
-let without steps i size =
-  List.filteri (fun j _ -> j < i || j >= i + size) steps
-
-(* Greedy ddmin: sweep chunk removals at halving granularity; at size 1,
-   keep sweeping until a full pass removes nothing. Every candidate is
-   re-executed through [fails], so monotonic shrinking terminates. *)
-let shrink ~fails t =
-  if not (fails t) then t
-  else begin
-    let current = ref t in
-    let size = ref (max 1 (length t / 2)) in
-    let continue_ = ref true in
-    while !continue_ do
-      let removed_any = ref false in
-      let i = ref 0 in
-      while !i < length !current do
-        let cand = { !current with steps = without (!current).steps !i !size } in
-        if length cand < length !current && fails cand then begin
-          current := cand;
-          removed_any := true
-          (* same index now holds the next chunk *)
-        end
-        else i := !i + !size
-      done;
-      if !size > 1 then size := !size / 2
-      else if not !removed_any then continue_ := false
-    done;
-    !current
-  end

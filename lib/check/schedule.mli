@@ -1,4 +1,4 @@
-(** Seeded random event schedules and minimal-counterexample shrinking.
+(** Seeded random event schedules for {!Run}.
 
     A schedule is a fully deterministic recipe: the seed fixes the event
     list here {e and} the simulation's RNG and every fault injector's
@@ -9,8 +9,8 @@
     to concrete addresses. The interpreter is {e total} — bringing up a
     peer that is already up, withdrawing a prefix the peer never
     announced, or flapping a dead peer are well-defined no-ops — which
-    is what makes naive chunk-removal shrinking sound: any sublist of a
-    valid schedule is a valid schedule.
+    is what makes {!Harness.shrink}'s chunk removal sound: any sublist of
+    a valid schedule is a valid schedule.
 
     Fault placement is principled, not uniform. Faults must perturb the
     {e system}, never the {e input}, or a divergence from the oracle
@@ -77,10 +77,3 @@ val pp : Format.formatter -> t -> unit
     needed to reproduce a failure by hand. *)
 
 val pp_event : Format.formatter -> event -> unit
-
-val shrink : fails:(t -> bool) -> t -> t
-(** Greedy delta-debugging: repeatedly removes chunks of events (halving
-    the chunk size down to single events) as long as [fails] still holds
-    on the remainder, to a fixpoint where no single event can be
-    dropped. Returns [t] unchanged if [fails t] is false. [fails] is
-    re-executed on every candidate, so it must be deterministic. *)

@@ -59,27 +59,13 @@ val execute : t -> string list
     clean pass. Deterministic: the same schedule always returns the
     same result. *)
 
-type failure = {
-  schedule : t;
-  shrunk : t;
-  violations : string list;
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-
-val shrink : fails:(t -> bool) -> t -> t
-(** Greedy drop-one minimisation to a fixpoint (any sublist of a
-    schedule is a valid schedule). Returns [t] unchanged if [fails t]
-    is false. *)
-
-val run_matrix :
+val matrix :
   ?routers:int ->
   ?n_prefixes:int ->
   ?events:int ->
-  ?progress:(int -> unit) ->
   seeds:int64 list ->
   unit ->
-  failure option
-(** Generates and executes one schedule per seed, stopping at the
-    first failure with its shrunken counterexample. [None] means every
-    schedule passed. *)
+  (t, step) Harness.matrix
+(** The [sc_lab topo-check] instance of the harness: one {!generate}d
+    schedule per seed, each run by {!execute}. A failure's reproduce
+    line names the failing seed and the schedule's dimensions. *)

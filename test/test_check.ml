@@ -1,7 +1,8 @@
 (* Tests for the differential checker itself: the flat-FIB oracle's
-   decision process, schedule determinism and shrinking, the
-   side-effect-free switch probe, and the end-to-end harness — including
-   the guarded Listing 2 mutation it exists to catch. *)
+   decision process, schedule determinism, the shared harness's shrinker
+   on synthetic step lists, the side-effect-free switch probe, and the
+   end-to-end checker — including the guarded Listing 2 mutation it
+   exists to catch, and a replay of its printed reproduce line. *)
 
 let ip = Net.Ipv4.of_string_exn
 let mac = Net.Mac.of_string_exn
@@ -88,6 +89,10 @@ let oracle_tests =
 
 let step ev = { Check.Schedule.ev; dwell_ms = 40 }
 
+let shrink_schedule =
+  Check.Harness.shrink ~steps:(fun s -> s.Check.Schedule.steps)
+    ~rebuild:(fun s steps -> { s with Check.Schedule.steps })
+
 let schedule_tests =
   [
     Alcotest.test_case "generation is a pure function of the seed" `Quick
@@ -142,21 +147,65 @@ let schedule_tests =
                    [ List.filteri (fun i _ -> i < 4) noise; [key_down];
                      List.filteri (fun i _ -> i >= 4) noise; [key_ann] ]) }
         in
-        let fails (s : Check.Schedule.t) =
+        let execute (s : Check.Schedule.t) =
           let has e = List.exists (fun st -> st.Check.Schedule.ev = e) s.steps in
-          has key_down && has key_ann
+          if has key_down && has key_ann then [ "synthetic" ] else []
         in
-        let shrunk = Check.Schedule.shrink ~fails sched in
+        let shrunk, violations = shrink_schedule ~execute sched in
         Alcotest.(check int) "two events survive" 2 (Check.Schedule.length shrunk);
-        Alcotest.(check bool) "and they still fail" true (fails shrunk));
+        Alcotest.(check (list string)) "and they still fail" [ "synthetic" ] violations);
     Alcotest.test_case "shrink is the identity on passing schedules" `Quick
       (fun () ->
         let sched = Check.Schedule.generate ~seed:3L ~length:10 () in
-        let shrunk = Check.Schedule.shrink ~fails:(fun _ -> false) sched in
+        let shrunk, violations = shrink_schedule ~execute:(fun _ -> []) sched in
         Alcotest.(check int) "untouched" 10 (Check.Schedule.length shrunk);
         Alcotest.(check string) "same schedule"
           (Fmt.str "%a" Check.Schedule.pp sched)
-          (Fmt.str "%a" Check.Schedule.pp shrunk));
+          (Fmt.str "%a" Check.Schedule.pp shrunk);
+        Alcotest.(check (list string)) "no violations" [] violations);
+  ]
+
+(* --- the shared harness on synthetic step lists ------------------------ *)
+
+(* A synthetic checker: the schedule is its own step list, and [execute]
+   reports one violation naming the steps when [fails] holds. *)
+let shrink_list ~fails l =
+  Check.Harness.shrink ~steps:Fun.id ~rebuild:(fun _ s -> s)
+    ~execute:(fun l ->
+      if fails l then [ Fmt.str "[%a]" Fmt.(list ~sep:semi int) l ] else [])
+    l
+
+(* An arbitrary deterministic predicate, far from monotone in the steps
+   kept: a removal can make an earlier step removable again, so only
+   sweeping to a fixpoint reaches a 1-minimal result. *)
+let arbitrary_fails l = l <> [] && Hashtbl.hash l mod 3 = 0
+
+let harness_tests =
+  [
+    Test_seed.to_alcotest
+      (QCheck.Test.make
+         ~name:"shrink keeps a passing input, else still fails and is 1-minimal"
+         ~count:300
+         QCheck.(list_of_size Gen.(0 -- 40) (0 -- 50))
+         (fun l ->
+           let shrunk, violations = shrink_list ~fails:arbitrary_fails l in
+           if not (arbitrary_fails l) then shrunk = l && violations = []
+           else
+             arbitrary_fails shrunk
+             && violations = [ Fmt.str "[%a]" Fmt.(list ~sep:semi int) shrunk ]
+             && List.for_all
+                  (fun i ->
+                    not (arbitrary_fails (List.filteri (fun j _ -> j <> i) shrunk)))
+                  (List.init (List.length shrunk) Fun.id)));
+    Test_seed.to_alcotest
+      (QCheck.Test.make ~name:"a failure needing k of n steps shrinks to exactly k"
+         ~count:300
+         QCheck.(pair (1 -- 60) (small_list (0 -- 59)))
+         (fun (n, picks) ->
+           let keys = List.sort_uniq Int.compare (List.map (fun k -> k mod n) picks) in
+           let fails l = List.for_all (fun k -> List.mem k l) keys in
+           let shrunk, _ = shrink_list ~fails (List.init n Fun.id) in
+           shrunk = keys));
   ]
 
 (* --- the side-effect-free switch probe --------------------------------- *)
@@ -212,6 +261,37 @@ let resolve_tests =
 
 (* --- the harness end to end -------------------------------------------- *)
 
+(* A failure's reproduce line, parsed the way sc_lab reads it: the
+   subcommand, then [--flag value] pairs and bare [--flag]s. *)
+let reproduce_args ~command line =
+  let rec flags = function
+    | [] -> []
+    | flag :: v :: rest when not (String.starts_with ~prefix:"--" v) ->
+      (flag, Some v) :: flags rest
+    | flag :: rest -> (flag, None) :: flags rest
+  in
+  match String.split_on_char ' ' line with
+  | "sc_lab" :: cmd :: args when cmd = command -> flags args
+  | _ -> Alcotest.failf "not an sc_lab %s command line: %s" command line
+
+let reproduce_value args flag =
+  match List.assoc_opt flag args with
+  | Some (Some v) -> v
+  | Some None | None -> Alcotest.failf "reproduce line lacks %s" flag
+
+(* The replay must regenerate the same schedule, shrink it to the same
+   counterexample with the same violations, and print the same
+   reproduce line again. *)
+let same_failure pp (f : _ Check.Harness.failure) = function
+  | None -> Alcotest.failf "replaying %S found nothing" f.reproduce
+  | Some (g : _ Check.Harness.failure) ->
+    Alcotest.(check string) "same schedule" (Fmt.str "%a" pp f.schedule)
+      (Fmt.str "%a" pp g.schedule);
+    Alcotest.(check string) "same shrunk schedule" (Fmt.str "%a" pp f.shrunk)
+      (Fmt.str "%a" pp g.shrunk);
+    Alcotest.(check (list string)) "same violations" f.violations g.violations;
+    Alcotest.(check string) "same reproduce line" f.reproduce g.reproduce
+
 let run_tests =
   [
     Alcotest.test_case "a hand-written failover schedule passes" `Quick (fun () ->
@@ -228,29 +308,49 @@ let run_tests =
         in
         Alcotest.(check (list string)) "no violations" [] (Check.Run.execute sched));
     Alcotest.test_case "generated chaos schedules pass" `Quick (fun () ->
-        match
-          Check.Run.run_matrix ~n_peers:2 ~n_prefixes:6 ~events:15 ~seed:1L
-            ~schedules:5 ()
-        with
+        let m =
+          Check.Run.matrix ~n_peers:2 ~n_prefixes:6 ~events:15 ~seed:1L ~schedules:5 ()
+        in
+        match Check.Harness.run m with
         | None -> ()
-        | Some f -> Alcotest.failf "checker found: %a" Check.Run.pp_failure f);
+        | Some f -> Alcotest.failf "checker found: %a" (Check.Harness.pp_failure m.pp) f);
     Alcotest.test_case "the skipped-rewrite mutation is caught and shrunk" `Quick
       (fun () ->
-        match Check.Run.run_matrix ~mutate:true ~seed:7L ~schedules:25 () with
-        | None -> Alcotest.fail "mutation survived the checker"
-        | Some f ->
-          Alcotest.(check bool) "violations recorded" true (f.violations <> []);
-          Alcotest.(check bool)
-            (Fmt.str "counterexample has %d events, want <= 6"
-               (Check.Schedule.length f.shrunk))
-            true
-            (Check.Schedule.length f.shrunk <= 6));
+        (* Replaying the printed reproduce line must find the same
+           counterexample: the line carries every flag that shaped the
+           run, or the replay is a clean run and passes. *)
+        let caught ?chaos ~seed ~schedules () =
+          let m = Check.Run.matrix ?chaos ~mutate:true ~seed ~schedules () in
+          match Check.Harness.run m with
+          | None -> Alcotest.fail "mutation survived the checker"
+          | Some f ->
+            Alcotest.(check bool) "violations recorded" true (f.violations <> []);
+            Alcotest.(check bool)
+              (Fmt.str "counterexample has %d events, want <= 6"
+                 (Check.Schedule.length f.shrunk))
+              true
+              (Check.Schedule.length f.shrunk <= 6);
+            let args = reproduce_args ~command:"check" f.reproduce in
+            let int flag = int_of_string (reproduce_value args flag) in
+            let replay =
+              Check.Run.matrix ~n_peers:(int "--peers") ~n_prefixes:(int "--prefixes")
+                ~events:(int "--events")
+                ~chaos:(not (List.mem_assoc "--no-chaos" args))
+                ~mutate:(List.mem_assoc "--mutate" args)
+                ~seed:(Int64.of_string (reproduce_value args "--seed"))
+                ~schedules:(int "--schedules") ()
+            in
+            same_failure m.pp f (Check.Harness.run replay)
+        in
+        caught ~seed:7L ~schedules:25 ();
+        caught ~chaos:false ~seed:3L ~schedules:40 ());
   ]
 
 let suite =
   [
     ("check.oracle", oracle_tests);
     ("check.schedule", schedule_tests);
+    ("check.harness", harness_tests);
     ("check.resolve", resolve_tests);
     ("check.run", run_tests);
   ]

@@ -264,23 +264,53 @@ let harness_tests =
           (Check.Ribscale.execute ~entries t));
     Alcotest.test_case "the planted stale-route bug is caught and shrunk" `Quick
       (fun () ->
-        (* The same table run_matrix builds internally (seed 3, 2k), so
+        (* The same table the matrix builds from its seed (3, 2k), so
            the returned counterexample replays against it. *)
         let entries = Workloads.Rib_gen.generate_internet ~seed:3L ~count:2_000 in
-        match
-          Check.Ribscale.run_matrix ~n_peers:8 ~length:8 ~entries:2_000 ~mutate:true
+        let m =
+          Check.Ribscale.matrix ~n_peers:8 ~length:8 ~entries:2_000 ~mutate:true
             ~seed:3L ~schedules:2 ()
-        with
+        in
+        match Check.Harness.run m with
         | None -> Alcotest.fail "the armed bug survived undetected"
         | Some f ->
-          Alcotest.(check bool) "violations reported" true
-            (f.Check.Ribscale.violations <> []);
+          Alcotest.(check bool) "violations reported" true (f.violations <> []);
           Alcotest.(check bool) "shrunk no longer than the original" true
-            (Check.Ribscale.length f.Check.Ribscale.shrunk
-            <= Check.Ribscale.length f.Check.Ribscale.schedule);
+            (Check.Ribscale.length f.shrunk <= Check.Ribscale.length f.schedule);
           Alcotest.(check bool) "shrunk still fails" true
-            (Check.Ribscale.execute ~mutate:true ~entries f.Check.Ribscale.shrunk
-            <> []));
+            (Check.Ribscale.execute ~mutate:true ~entries f.shrunk <> []);
+          (* Replaying the printed reproduce line finds the same
+             counterexample. *)
+          let args = Test_check.reproduce_args ~command:"ribscale-check" f.reproduce in
+          let int flag = int_of_string (Test_check.reproduce_value args flag) in
+          let replay =
+            Check.Ribscale.matrix ~n_peers:(int "--peers") ~length:(int "--events")
+              ~entries:(int "--entries")
+              ~mutate:(List.mem_assoc "--mutate" args)
+              ~seed:(Int64.of_string (Test_check.reproduce_value args "--seed"))
+              ~schedules:(int "--schedules") ()
+          in
+          Test_check.same_failure m.pp f (Check.Harness.run replay));
+    Alcotest.test_case "a later schedule's reproduce line names the matrix seed"
+      `Quick (fun () ->
+        (* The table is drawn from the matrix seed, so a failure at index
+           1 replays as [--seed <matrix seed> --schedules 2], never as the
+           schedule's own seed. *)
+        let m =
+          Check.Ribscale.matrix ~n_peers:8 ~length:8 ~entries:2_000 ~seed:3L
+            ~schedules:3 ()
+        in
+        let execute (t : Check.Ribscale.t) =
+          if t.seed = 4L then [ "synthetic" ] else []
+        in
+        match Check.Harness.run { m with execute } with
+        | None -> Alcotest.fail "schedule 1 should fail"
+        | Some f ->
+          Alcotest.(check int64) "schedule 1's own seed" 4L f.schedule.seed;
+          Alcotest.(check string) "reproduce line"
+            "sc_lab ribscale-check --seed 3 --schedules 2 --entries 2000 --peers 8 \
+             --events 8"
+            f.reproduce);
   ]
 
 let suite =

@@ -198,11 +198,35 @@ let checker_tests =
           (Check.Topo_run.execute sched));
     Alcotest.test_case "generated schedules pass on the acceptance seeds"
       `Quick (fun () ->
-        match
-          Check.Topo_run.run_matrix ~seeds:[ 101L; 102L; 103L ] ()
-        with
+        let m = Check.Topo_run.matrix ~seeds:[ 101L; 102L; 103L ] () in
+        match Check.Harness.run m with
         | None -> ()
-        | Some f -> Alcotest.failf "%a" Check.Topo_run.pp_failure f);
+        | Some f -> Alcotest.failf "%a" (Check.Harness.pp_failure m.pp) f);
+    Alcotest.test_case "a generated schedule shrinks to the steps its failure needs"
+      `Quick (fun () ->
+        (* A synthetic predicate in place of the fabric run: the failure
+           needs two particular steps of seed 102's schedule, so ddmin
+           must strip the other twelve and keep the schedule's
+           dimensions. *)
+        let m = Check.Topo_run.matrix ~seeds:[ 101L; 102L ] () in
+        let sched = m.generate 102L in
+        let a = List.nth sched.steps 3 and b = List.nth sched.steps 10 in
+        let execute (t : Check.Topo_run.t) =
+          if List.mem a t.steps && List.mem b t.steps then [ "synthetic" ] else []
+        in
+        match Check.Harness.run { m with execute } with
+        | None -> Alcotest.fail "seed 102's schedule should fail"
+        | Some f ->
+          Alcotest.(check int) "original has 14 steps" 14
+            (Check.Topo_run.length f.schedule);
+          Alcotest.(check bool) "exactly the two needed steps, in order" true
+            (f.shrunk.steps = [ a; b ]);
+          Alcotest.(check bool) "dimensions kept" true
+            (f.shrunk.supercharged = sched.supercharged && f.shrunk.seed = 102L);
+          Alcotest.(check (list string)) "violations" [ "synthetic" ] f.violations;
+          Alcotest.(check string) "reproduce line"
+            "sc_lab topo-check --seeds 102 --routers 8 --prefixes 6 --events 14"
+            f.reproduce);
   ]
 
 let deployment_tests =
