@@ -347,8 +347,9 @@ let ribscale_check_cmd =
        ~doc:
          "Internet-scale RIB differential checker: the sharded, incrementally \
           re-ranked RIB against the naive flat oracle under skewed multi-peer \
-          views, withdrawal storms and churn trains, with full ranked-equivalence \
-          checking after every event.")
+          views, withdrawal storms and churn trains: ranked equivalence on each \
+          event's touched prefixes plus per-length coverage counts, and over the \
+          whole table after the load and after the last event.")
     Term.(
       const run $ schedules_arg 3 $ events_arg 10 $ rs_peers_arg $ entries_arg
       $ mutate_arg

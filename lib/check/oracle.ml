@@ -102,5 +102,3 @@ let prefixes t =
     (fun prefix _ acc -> if alive_candidates t prefix <> [] then prefix :: acc else acc)
     t.routes []
   |> List.sort Net.Prefix.compare
-
-let cardinal t = List.length (prefixes t)

@@ -76,6 +76,3 @@ val lookup : t -> Net.Prefix.t -> hop option
 val prefixes : t -> Net.Prefix.t list
 (** Covered prefixes — those with at least one alive candidate — in
     ascending order. *)
-
-val cardinal : t -> int
-(** [List.length (prefixes t)]. *)

@@ -93,6 +93,13 @@ let generate ~seed ?(n_peers = 12) ?(length = 10) () =
 
 (* --- interpreter ------------------------------------------------------- *)
 
+module Prefix_table = Hashtbl.Make (struct
+  type t = Net.Prefix.t
+
+  let equal = Net.Prefix.equal
+  let hash = Net.Prefix.hash
+end)
+
 type state = {
   entries : Workloads.Rib_gen.entry array;
   n_peers : int;
@@ -101,6 +108,10 @@ type state = {
   down : bool array;
   mutate : bool;
   mutable withdraws : int;  (* total withdrawals processed, for [mutate] *)
+  touched : bool Prefix_table.t;
+      (* prefixes written during the current event, each mapped to
+         whether the oracle covered it before its first write *)
+  coverage : int array;  (* oracle-covered prefixes per mask length *)
 }
 
 let peer_ip i = Net.Ipv4.of_octets 10 9 (i / 200) (1 + (i mod 200))
@@ -118,7 +129,13 @@ let attrs_of ~peer (e : Workloads.Rib_gen.entry) =
     ~as_path:[Bgp.Attributes.Seq (prepends @ e.as_path)]
     ?med:e.med ~next_hop:(peer_ip peer) ()
 
-let announce_both st ~peer (e : Workloads.Rib_gen.entry) =
+(* Must run before the oracle side of a write, so the first touch
+   records the prefix's coverage from before the event. *)
+let touch st prefix =
+  if not (Prefix_table.mem st.touched prefix) then
+    Prefix_table.add st.touched prefix (Oracle.candidates st.oracle prefix <> [])
+
+let load st ~peer (e : Workloads.Rib_gen.entry) =
   let attrs = attrs_of ~peer e in
   Oracle.announce st.oracle ~peer e.prefix attrs;
   (* Constructed exactly as the oracle constructs its side, so identical
@@ -126,7 +143,12 @@ let announce_both st ~peer (e : Workloads.Rib_gen.entry) =
   let route = Bgp.Route.make ~peer_id:peer ~peer_router_id:(peer_ip peer) attrs in
   ignore (Bgp.Rib.announce st.rib e.prefix route)
 
+let announce_both st ~peer (e : Workloads.Rib_gen.entry) =
+  touch st e.prefix;
+  load st ~peer e
+
 let withdraw_both st ~peer (e : Workloads.Rib_gen.entry) =
+  touch st e.prefix;
   Oracle.withdraw st.oracle ~peer e.prefix;
   let skip_rib = st.mutate && st.withdraws mod 7 = 0 in
   st.withdraws <- st.withdraws + 1;
@@ -146,6 +168,13 @@ let iter_view st ~peer f =
         incr rank
       end)
     st.entries
+
+(* Every prefix the peer stores in the oracle, masked or not, touched
+   while its mask is still in its pre-event state. *)
+let touch_peer st ~peer =
+  let routes = Oracle.peer_routes st.oracle ~peer in
+  List.iter (fun (prefix, _) -> touch st prefix) routes;
+  routes
 
 let apply st = function
   | Storm { peer; share_pct } ->
@@ -179,11 +208,17 @@ let apply st = function
     done
   | Peer_down peer ->
     st.down.(peer) <- true;
-    (* The oracle masks; the RIB deletes through its per-peer index. *)
+    ignore (touch_peer st ~peer);
+    (* The oracle masks; the RIB deletes through its per-peer index. A
+       RIB-only prefix (a stale route) has no oracle route of the peer,
+       so masking leaves its coverage as it was. *)
     Oracle.peer_down st.oracle peer;
-    ignore (Bgp.Rib.withdraw_peer st.rib ~peer_id:peer)
+    List.iter
+      (fun (c : Bgp.Rib.change) -> touch st c.prefix)
+      (Bgp.Rib.withdraw_peer st.rib ~peer_id:peer)
   | Peer_up peer ->
     st.down.(peer) <- false;
+    let routes = touch_peer st ~peer in
     Oracle.peer_up st.oracle peer;
     (* The recovered session re-announces its ground truth — the
        oracle's stored (just unmasked) routes, churn included. *)
@@ -193,21 +228,21 @@ let apply st = function
           Bgp.Route.make ~peer_id:peer ~peer_router_id:(peer_ip peer) attrs
         in
         ignore (Bgp.Rib.announce st.rib prefix route))
-      (Oracle.peer_routes st.oracle ~peer)
+      routes
 
-(* Full ranked equivalence: Decision.compare is a total order, so given
-   equal candidate sets the ranked list is unique — the optimised RIB's
-   stored order must equal a from-scratch naive ranking of the oracle's
-   alive candidates, prefix by prefix, plus exact coverage agreement. *)
-let equivalent st =
+(* Ranked equivalence over the prefixes [visit] hands to its callback:
+   Decision.compare is a total order, so given equal candidate sets the
+   ranked list is unique — the optimised RIB's stored order must equal a
+   from-scratch naive ranking of the oracle's alive candidates. The
+   callback returns whether the oracle covers the prefix, which [visit]
+   folds into [st.coverage]; the per-length counts must then equal the
+   RIB's shard occupancy exactly. *)
+let verdict st visit =
   let violations = ref [] and divergent = ref 0 in
   let add fmt = Fmt.kstr (fun s -> violations := s :: !violations) fmt in
-  let rib_card = Bgp.Rib.cardinal st.rib in
-  let oracle_card = Oracle.covered st.oracle in
-  if rib_card <> oracle_card then
-    add "coverage: rib stores %d prefixes, oracle covers %d" rib_card oracle_card;
-  Oracle.iter_stored st.oracle (fun prefix _ ->
-      let naive = Bgp.Decision.rank (Oracle.candidates st.oracle prefix) in
+  visit (fun prefix ->
+      let candidates = Oracle.candidates st.oracle prefix in
+      let naive = Bgp.Decision.rank candidates in
       let fast = Bgp.Rib.ordered st.rib prefix in
       if not (List.equal Bgp.Route.equal fast naive) then begin
         incr divergent;
@@ -218,9 +253,42 @@ let equivalent st =
             (List.map (fun (r : Bgp.Route.t) -> r.peer_id) fast)
             Fmt.(list ~sep:semi int)
             (List.map (fun (r : Bgp.Route.t) -> r.peer_id) naive)
-      end);
+      end;
+      candidates <> []);
   if !divergent > 3 then add "... and %d more divergent prefixes" (!divergent - 3);
+  Array.iteri
+    (fun len stored ->
+      if stored <> st.coverage.(len) then
+        add "coverage /%d: rib stores %d prefixes, oracle covers %d" len stored
+          st.coverage.(len))
+    (Bgp.Rib.length_histogram st.rib);
   List.rev !violations
+
+let count st prefix delta =
+  let len = Net.Prefix.length prefix in
+  st.coverage.(len) <- st.coverage.(len) + delta
+
+(* Every stored prefix, in one pass that also recounts coverage — what
+   catches a write to a prefix no event reported. *)
+let sweep st =
+  Array.fill st.coverage 0 (Array.length st.coverage) 0;
+  verdict st (fun check ->
+      Oracle.iter_stored st.oracle (fun prefix _ ->
+          if check prefix then count st prefix 1))
+
+(* Only the prefixes the last event wrote, moving each one's coverage
+   count from its before-state to its after-state. *)
+let check_touched st =
+  let vs =
+    verdict st (fun check ->
+        Prefix_table.iter
+          (fun prefix before ->
+            let after = check prefix in
+            if after <> before then count st prefix (if after then 1 else -1))
+          st.touched)
+  in
+  Prefix_table.clear st.touched;
+  vs
 
 let[@lint.domain_entry
      "ribscale schedule runner: candidate for one-schedule-per-domain fan-out; \
@@ -236,6 +304,8 @@ let[@lint.domain_entry
       down = Array.make t.n_peers false;
       mutate;
       withdraws = 0;
+      touched = Prefix_table.create 1024;
+      coverage = Array.make 33 0;
     }
   in
   for i = 0 to t.n_peers - 1 do
@@ -247,18 +317,22 @@ let[@lint.domain_entry
      scheduled event — the checker always starts from a converged
      multi-peer table, as a route collector would see it. *)
   for peer = 0 to t.n_peers - 1 do
-    iter_view st ~peer (fun _ e -> announce_both st ~peer e)
+    iter_view st ~peer (fun _ e -> load st ~peer e)
   done;
-  match equivalent st with
+  match sweep st with
   | _ :: _ as vs -> List.map (fun v -> "after load: " ^ v) vs
   | [] ->
     (* Interpret until the first divergence: later steps of an already
        divergent run prove nothing and would only slow shrinking. *)
     let rec run i = function
-      | [] -> []
+      | [] ->
+        (* With no steps the load sweep already was the final one. *)
+        if i = 1 then []
+        else
+          List.map (fun v -> Fmt.str "final sweep after step %d: %s" (i - 1) v) (sweep st)
       | ev :: rest -> (
         apply st ev;
-        match equivalent st with
+        match check_touched st with
         | [] -> run (i + 1) rest
         | vs ->
           List.map (fun v -> Fmt.str "after step %d (%a): %s" i pp_event ev v) vs)

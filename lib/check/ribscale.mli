@@ -9,14 +9,20 @@
     {!Workloads.Rib_gen.generate_internet} table, route-collector-shaped
     withdrawal storms and churn trains, session losses and recoveries.
 
-    After the initial load and after {e every} scheduled event, the
-    checker demands full ranked equivalence: for each prefix the oracle
-    stores, the RIB's incrementally maintained candidate order must
-    equal a from-scratch {!Bgp.Decision.rank} of the oracle's alive
-    candidates ({!Bgp.Decision.compare} is a total order, so the ranked
-    list is unique), and covered-prefix counts must agree exactly.
-    Every RIB optimisation — sharding, splice-only re-ranking, indexed
-    peer withdrawal — lands gated behind this harness. *)
+    Equivalence is ranked: for a checked prefix, the RIB's
+    incrementally maintained candidate order must equal a from-scratch
+    {!Bgp.Decision.rank} of the oracle's alive candidates
+    ({!Bgp.Decision.compare} is a total order, so the ranked list is
+    unique). After the initial load and once after the last event, a
+    full sweep checks every prefix the oracle stores. After each event
+    in between, the checker re-ranks only the prefixes either side
+    wrote during it (its {e touched set}, stale RIB-only prefixes
+    included), and the per-mask-length count of oracle-covered
+    prefixes, kept up to date from each touched prefix's before and
+    after coverage, must equal {!Bgp.Rib.length_histogram} cell by
+    cell. The end sweep catches a write the touched set missed. Every
+    RIB optimisation — sharding, splice-only re-ranking, indexed peer
+    withdrawal — lands gated behind this harness. *)
 
 type event =
   | Storm of { peer : int; share_pct : int }
@@ -52,9 +58,12 @@ val generate : seed:int64 -> ?n_peers:int -> ?length:int -> unit -> t
 
 val execute : ?mutate:bool -> entries:Workloads.Rib_gen.entry array -> t -> string list
 (** Preloads every peer's skewed view of [entries] into both sides,
-    then interprets the schedule, checking full ranked equivalence
-    after the load and after every event; stops at the first divergence.
-    [[]] is a clean pass. Deterministic: same entries, schedule and flag
+    then interprets the schedule: a full sweep after the load, the
+    touched prefixes and per-length coverage counts after each event,
+    and a final full sweep after the last one (an empty schedule runs
+    the load sweep only). Stops at the first divergence, reported as
+    [after step i (event): ...], or [final sweep after step i: ...]
+    when only the end sweep saw it. [[]] is a clean pass. Deterministic: same entries, schedule and flag
     always return the same result. The interpreter is total — events
     aimed at down or already-up peers are silently absorbed, exactly as
     a silent or already-recovered session would be.

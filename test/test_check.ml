@@ -52,7 +52,7 @@ let oracle_tests =
         Alcotest.check nh_opt "fails over" (Some (ip "10.0.0.3")) (hop_nh o p);
         Check.Oracle.peer_down o 1;
         Alcotest.check nh_opt "uncovered" None (hop_nh o p);
-        Alcotest.(check int) "no covered prefixes" 0 (Check.Oracle.cardinal o);
+        Alcotest.(check int) "no covered prefixes" 0 (Check.Oracle.covered o);
         Check.Oracle.peer_up o 0;
         Alcotest.check nh_opt "recovers the better route" (Some (ip "10.0.0.2"))
           (hop_nh o p));

@@ -262,6 +262,79 @@ let harness_tests =
         Alcotest.(check (list string))
           "down peers are silent, re-ups absorbed" []
           (Check.Ribscale.execute ~entries t));
+    Alcotest.test_case "peer-wide events keep the touched set and coverage exact"
+      `Quick (fun () ->
+        (* Peer 0 carries the full table and the other three a thin
+           slice, so the down and the flush make most prefixes vanish
+           from coverage, and the re-up and the re-advertisement bring
+           them back. *)
+        let entries = Lazy.force harness_entries in
+        let t =
+          {
+            Check.Ribscale.seed = 0L;
+            n_peers = 4;
+            steps =
+              [
+                Check.Ribscale.Peer_down 0;
+                Check.Ribscale.Peer_up 0;
+                Check.Ribscale.Storm { peer = 0; share_pct = 100 };
+                Check.Ribscale.Readvertise { peer = 0 };
+              ];
+          }
+        in
+        Alcotest.(check (list string)) "clean" [] (Check.Ribscale.execute ~entries t);
+        match Check.Ribscale.execute ~mutate:true ~entries t with
+        | [] -> Alcotest.fail "the armed bug survived undetected"
+        | v :: _ ->
+          Alcotest.(check bool)
+            (Fmt.str "caught at the storm, not the final sweep: %s" v)
+            true
+            (String.starts_with ~prefix:"after step 3 (storm" v));
+    Alcotest.test_case "the canary is caught at the full checker's step" `Quick
+      (fun () ->
+        (* Pinned from the checker that re-ranked every stored prefix
+           after every event: per matrix seed, the step at which the
+           original schedule first fails and the shrunk length. The
+           incremental checker must fail at the same step, at an event
+           rather than the final sweep, and shrink no worse. *)
+        let step v =
+          match Scanf.sscanf_opt v "after step %d (" Fun.id with
+          | Some i -> i
+          | None -> Alcotest.failf "not caught at an event: %s" v
+        in
+        List.iter
+          (fun (seed, first_step, shrunk_len) ->
+            let m =
+              Check.Ribscale.matrix ~mutate:true ~n_peers:8 ~length:8 ~entries:2_000
+                ~seed ~schedules:1 ()
+            in
+            match Check.Harness.run m with
+            | None -> Alcotest.failf "seed %Ld: the armed bug survived" seed
+            | Some f ->
+              let entries = Workloads.Rib_gen.generate_internet ~seed ~count:2_000 in
+              let original = Check.Ribscale.execute ~mutate:true ~entries f.schedule in
+              Alcotest.(check int)
+                (Fmt.str "seed %Ld: first failing step" seed)
+                first_step
+                (step (List.hd original));
+              Alcotest.(check int)
+                (Fmt.str "seed %Ld: the shrunk schedule fails at its one event" seed)
+                1
+                (step (List.hd f.violations));
+              Alcotest.(check bool)
+                (Fmt.str "seed %Ld: shrunk to at most %d" seed shrunk_len)
+                true
+                (Check.Ribscale.length f.shrunk <= shrunk_len))
+          [
+            (3L, 3, 1);
+            (4L, 4, 1);
+            (5L, 1, 1);
+            (6L, 2, 1);
+            (7L, 1, 1);
+            (8L, 1, 1);
+            (9L, 8, 1);
+            (10L, 1, 1);
+          ]);
     Alcotest.test_case "the planted stale-route bug is caught and shrunk" `Quick
       (fun () ->
         (* The same table the matrix builds from its seed (3, 2k), so
