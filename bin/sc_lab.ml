@@ -5,8 +5,8 @@
 
      dune exec bin/sc_lab.exe -- run --prefixes 10000 --mode supercharged
      dune exec bin/sc_lab.exe -- run --mode plain --trace --flows 10
-     dune exec bin/sc_lab.exe -- micro --count 100000
-     dune exec bin/sc_lab.exe -- fig5 --sizes 1000,10000 --reps 2 *)
+     dune exec bin/sc_lab.exe -- fig5 --sizes 1000,10000 --reps 2
+     dune exec bin/sc_lab.exe -- bench all --quick --json bench_quick.json *)
 
 open Cmdliner
 
@@ -147,16 +147,23 @@ let run_cmd =
       $ dense_arg $ bfd_tx_arg $ flowmod_arg $ peers_arg $ group_size_arg
       $ failure_arg $ pcap_arg $ wire_arg)
 
-let micro_cmd =
-  let count_arg =
-    Arg.(value & opt int 500_000 & info ["count"] ~docv:"N" ~doc:"Prefixes per peer.")
-  in
-  let run count =
-    Fmt.pr "%a@." Experiments.Micro.pp_report (Experiments.Micro.run ~count ())
-  in
-  Cmd.v
-    (Cmd.info "micro" ~doc:"Controller per-update processing latency (S4).")
-    Term.(const run $ count_arg)
+(* --- bench-shaped subcommands: fig5, deployment, bench ------------------- *)
+
+let csv_arg =
+  Arg.(value & opt (some string) None & info ["csv"] ~docv:"FILE" ~doc:"Also write rows as CSV.")
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info ["json"] ~docv:"FILE" ~doc:"Also write the numbers as JSON (schema bench/v1).")
+
+let write_csv csv contents =
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      Fmt.pr "@.csv written to %s@." path)
+    csv
 
 let fig5_cmd =
   let sizes_arg =
@@ -168,45 +175,11 @@ let fig5_cmd =
   let reps_arg =
     Arg.(value & opt int 1 & info ["reps"] ~docv:"N" ~doc:"Repetitions per point.")
   in
-  let csv_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info ["csv"] ~docv:"FILE" ~doc:"Also write the rows as CSV.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info ["json"] ~docv:"FILE"
-          ~doc:"Also write the rows as JSON (schema bench/v1).")
-  in
   let run sizes repetitions flows csv json =
-    let rows =
-      Experiments.Fig5.run ~sizes ~repetitions ~monitored_flows:flows
-        ~progress:(fun m -> Fmt.epr "%s@." m)
-        ()
-    in
-    Experiments.Fig5.pp_table Fmt.stdout rows;
-    Fmt.pr "@.";
-    Experiments.Fig5.pp_ascii_figure Fmt.stdout rows;
-    (match csv with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Experiments.Fig5.to_csv rows);
-      close_out oc;
-      Fmt.pr "@.csv written to %s@." path
-    | None -> ());
-    match json with
-    | Some path ->
-      Obs.Json.to_file path
-        (Obs.Json.Obj
-           [
-             ("schema", Obs.Json.String "bench/v1");
-             ("sections", Obs.Json.Obj [("fig5", Experiments.Fig5.to_json rows)]);
-           ]);
-      Fmt.pr "@.json written to %s@." path
-    | None -> ()
+    let write_json = Sections.json_sink Experiments.Bench.Paper json in
+    let rows = Sections.fig5 ~sizes ~repetitions ~monitored_flows:flows () in
+    write_csv csv (Experiments.Fig5.to_csv rows);
+    write_json [("fig5", Experiments.Fig5.to_json rows)]
   in
   Cmd.v (Cmd.info "fig5" ~doc:"Reproduce Fig. 5 (convergence vs table size).")
     Term.(const run $ sizes_arg $ reps_arg $ flows_arg $ csv_arg $ json_arg)
@@ -376,44 +349,11 @@ let deployment_cmd =
       & info ["coverage"] ~docv:"K,K,..."
           ~doc:"Deployment sizes to measure (default: every 0..routers).")
   in
-  let csv_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info ["csv"] ~docv:"FILE" ~doc:"Also write the rows as CSV.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info ["json"] ~docv:"FILE"
-          ~doc:"Also write the rows as JSON (schema bench/v1).")
-  in
   let run routers n_prefixes seeds coverage csv json =
-    let rows =
-      Experiments.Deployment.run ~routers ~n_prefixes ?coverage ~seeds
-        ~progress:(fun m -> Fmt.epr "  %s@." m)
-        ()
-    in
-    Experiments.Deployment.pp_table Fmt.stdout rows;
-    (match csv with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Experiments.Deployment.to_csv rows);
-      close_out oc;
-      Fmt.pr "csv written to %s@." path
-    | None -> ());
-    match json with
-    | Some path ->
-      Obs.Json.to_file path
-        (Obs.Json.Obj
-           [
-             ("schema", Obs.Json.String "bench/v1");
-             ( "sections",
-               Obs.Json.Obj [("deployment", Experiments.Deployment.to_json rows)] );
-           ]);
-      Fmt.pr "json written to %s@." path
-    | None -> ()
+    let write_json = Sections.json_sink Experiments.Bench.Paper json in
+    let rows = Sections.deployment ~routers ~n_prefixes ?coverage ~seeds () in
+    write_csv csv (Experiments.Deployment.to_csv rows);
+    write_json [("deployment", Experiments.Deployment.to_json rows)]
   in
   Cmd.v
     (Cmd.info "deployment"
@@ -423,6 +363,66 @@ let deployment_cmd =
     Term.(
       const run $ routers_arg $ dep_prefixes_arg $ seeds_arg $ coverage_arg $ csv_arg
       $ json_arg)
+
+let bench_cmd =
+  let names = List.map fst Sections.all in
+  let sections_arg =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) ("all" :: names))) ["all"]
+      & info [] ~docv:"SECTION"
+          ~doc:(Fmt.str "Sections to run, in any order: all, %s." (String.concat ", " names)))
+  in
+  let profile_arg =
+    Arg.(
+      value
+      & vflag Experiments.Bench.Paper
+          [
+            (Quick, info ["quick"] ~doc:"Reduced sizes (CI-friendly).");
+            (Full, info ["full"] ~doc:"The paper's 3 repetitions.");
+          ])
+  in
+  let run sections profile json =
+    let write_json = Sections.json_sink profile json in
+    Fmt.pr "Supercharged router - benchmark harness (see DESIGN.md S4 index)@.";
+    let want name = List.mem "all" sections || List.mem name sections in
+    write_json
+      (List.filter_map
+         (fun (name, run) ->
+           if want name then Option.map (fun j -> (name, j)) (run profile) else None)
+         Sections.all);
+    Fmt.pr "@.done.@."
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:"Regenerate the paper's evaluation, ablations and throughput benchmarks.")
+    Term.(const run $ sections_arg $ profile_arg $ json_arg)
+
+let bench_diff_cmd =
+  let path_arg n docv doc = Arg.(required & pos n (some file) None & info [] ~docv ~doc) in
+  let load path =
+    match Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok json -> json
+    | Error msg | (exception Sys_error msg) ->
+      Fmt.pr "::error title=bench-diff::%s: %s@." path msg;
+      exit 1
+  in
+  let run baseline run =
+    let findings = Experiments.Bench.diff ~baseline:(load baseline) ~run:(load run) in
+    List.iter (Fmt.pr "%a@." Experiments.Bench.pp_finding) findings;
+    if List.is_empty findings then Fmt.pr "quick run consistent with the committed baseline@.";
+    if List.exists (fun (f : Experiments.Bench.finding) -> f.severity = Fail) findings then
+      exit 1
+  in
+  Cmd.v
+    (Cmd.info "bench-diff"
+       ~doc:
+         "Diff a bench/v1 run against a committed baseline: one ::error or \
+          ::warning annotation per finding, exit 1 on any hard-gate failure.")
+    Term.(
+      const run
+      $ path_arg 0 "BASELINE" "The committed baseline, e.g. BENCH_ribscale.json."
+      $ path_arg 1 "RUN" "This run's bench/v1 JSON.")
 
 let lint_cmd =
   let root_arg =
@@ -507,7 +507,8 @@ let lint_cmd =
     Lint.Engine.pp_report Fmt.stdout report;
     (match json with
     | Some path ->
-      Obs.Json.to_file path (Lint.Engine.to_json report);
+      Out_channel.with_open_bin path (fun oc ->
+          Obs.Json.to_channel oc (Lint.Engine.to_json report));
       Fmt.pr "json written to %s@." path
     | None -> ());
     let drift =
@@ -555,7 +556,8 @@ let () =
              ~doc:"Supercharged-router convergence laboratory.")
           [
             run_cmd;
-            micro_cmd;
+            bench_cmd;
+            bench_diff_cmd;
             fig5_cmd;
             check_cmd;
             topo_check_cmd;

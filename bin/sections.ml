@@ -1,87 +1,54 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§4) plus the ablations called out in DESIGN.md, and runs
-   Bechamel micro-benchmarks for the per-operation costs.
+(* The sections of [sc_lab bench]: every table and figure of the
+   paper's evaluation (S4), the DESIGN.md ablations and the Bechamel
+   per-operation costs. Each prints its table and returns its bench/v1
+   JSON, if any; [sc_lab fig5] and [sc_lab deployment] print through
+   the same [fig5] and [deployment] functions. *)
 
-     dune exec bench/main.exe                 - everything, paper-scale sizes
-     dune exec bench/main.exe -- fig5         - only Fig. 5
-     dune exec bench/main.exe -- micro        - only the controller micro-benchmark
-     dune exec bench/main.exe -- groups       - the S2 backup-group count table
-     dune exec bench/main.exe -- ablations    - BFD/flow-mod sweeps + replication
-     dune exec bench/main.exe -- extensions   - FIB cache + load balancing (S1)
-     dune exec bench/main.exe -- dataplane    - LPM + forwarding throughput
-     dune exec bench/main.exe -- ribscale     - 1M-prefix RIB, 100 skewed peers
-     dune exec bench/main.exe -- deployment   - convergence win vs %% supercharged
-     dune exec bench/main.exe -- ops          - Bechamel per-operation costs
-     dune exec bench/main.exe -- all --quick  - reduced sizes (CI-friendly)
-     dune exec bench/main.exe -- all --full   - 3 repetitions like the paper
-     ... --json FILE                          - also write the numbers as JSON
-                                                (schema bench/v1, see DESIGN.md) *)
-
-let quick = Array.exists (String.equal "--quick") Sys.argv
-let full = Array.exists (String.equal "--full") Sys.argv
-
-(* --json FILE: also write every section's numbers as a machine-readable
-   BENCH_*.json artifact (schema bench/v1). *)
-let json_file =
-  let rec find = function
-    | "--json" :: file :: _ -> Some file
-    | _ :: rest -> find rest
-    | [] -> None
-  in
-  find (Array.to_list Sys.argv)
-
-let json_sections : (string * Obs.Json.t) list ref = ref []
-let record_json name json = json_sections := (name, json) :: !json_sections
+let quick = function Experiments.Bench.Quick -> true | Paper | Full -> false
+let full = function Experiments.Bench.Full -> true | Quick | Paper -> false
+let progress msg = Fmt.epr "  %s@." msg
 
 let section title = Fmt.pr "@.=== %s ===@.@." title
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: convergence time vs number of prefixes.                   *)
 
-let run_fig5 () =
-  section "Figure 5 - convergence time vs #prefixes (box-plot summary)";
-  let sizes =
-    if quick then [1_000; 5_000; 10_000; 50_000] else Experiments.Fig5.paper_sizes
-  in
-  let repetitions = if full then 3 else 1 in
-  Fmt.pr "sizes: %a; repetitions: %d; 100 monitored flows each@.@."
-    Fmt.(list ~sep:comma int)
-    sizes repetitions;
-  let rows =
-    Experiments.Fig5.run ~sizes ~repetitions
-      ~progress:(fun msg -> Fmt.epr "  %s@." msg)
-      ()
-  in
+let fig5 ~sizes ~repetitions ?monitored_flows () =
+  let rows = Experiments.Fig5.run ~sizes ~repetitions ?monitored_flows ~progress () in
   Experiments.Fig5.pp_table Fmt.stdout rows;
   Fmt.pr "@.";
   Experiments.Fig5.pp_ascii_figure Fmt.stdout rows;
-  record_json "fig5" (Experiments.Fig5.to_json rows)
+  rows
+
+let run_fig5 profile =
+  section "Figure 5 - convergence time vs #prefixes (box-plot summary)";
+  let sizes =
+    if quick profile then [1_000; 5_000; 10_000; 50_000] else Experiments.Fig5.paper_sizes
+  in
+  let repetitions = if full profile then 3 else 1 in
+  Fmt.pr "sizes: %a; repetitions: %d; 100 monitored flows each@.@."
+    Fmt.(list ~sep:comma int)
+    sizes repetitions;
+  Some (Experiments.Fig5.to_json (fig5 ~sizes ~repetitions ()))
 
 (* ------------------------------------------------------------------ *)
 (* S4 micro-benchmark: per-update controller processing time.          *)
 
-let run_micro () =
+let run_micro profile =
   section "S4 micro-benchmark - controller BGP update processing";
-  let count = if quick then 50_000 else 500_000 in
+  let count = if quick profile then 50_000 else 500_000 in
   Fmt.pr "feeding 2 x %d updates from two peers through the decision process@." count;
   Fmt.pr "and the Listing 1 algorithm (wall-clock per update)...@.@.";
   let report = Experiments.Micro.run ~count () in
   Fmt.pr "%a@." Experiments.Micro.pp_report report;
-  record_json "micro" (Experiments.Micro.to_json report);
-  section "RIB scaling - indexed peer-down vs full-table scan (1% peer)";
-  let sizes =
-    if quick then [10_000; 50_000] else Experiments.Rib_bench.default_sizes
-  in
-  let rows = Experiments.Rib_bench.run ~sizes () in
-  Experiments.Rib_bench.pp_rows Fmt.stdout rows;
-  record_json "rib" (Experiments.Rib_bench.to_json rows)
+  Some (Experiments.Micro.to_json report)
 
 (* ------------------------------------------------------------------ *)
 (* Internet-scale control plane: full-shape table, skewed peer views.  *)
 
-let run_ribscale () =
+let run_ribscale profile =
   section "Internet-scale RIB - load / churn / storm / peer-down (100 peers)";
-  let sizes = if quick then [50_000; 100_000] else [50_000; 100_000; 1_000_000] in
+  let sizes = if quick profile then [50_000; 100_000] else [50_000; 100_000; 1_000_000] in
   Fmt.pr "sizes: %a; one internet-shape table, sliced per size; best of 3@.@."
     Fmt.(list ~sep:comma int)
     sizes;
@@ -90,16 +57,16 @@ let run_ribscale () =
      runs once to keep the full pass affordable. *)
   let rows = Experiments.Ribscale.run ~sizes:[50_000; 100_000] () in
   let rows =
-    if quick then rows
+    if quick profile then rows
     else rows @ Experiments.Ribscale.run ~sizes:[1_000_000] ~reps:1 ()
   in
   Experiments.Ribscale.pp_rows Fmt.stdout rows;
-  record_json "ribscale" (Experiments.Ribscale.to_json rows)
+  Some (Experiments.Ribscale.to_json rows)
 
 (* ------------------------------------------------------------------ *)
 (* S2: number of backup-groups vs number of peers.                     *)
 
-let run_groups () =
+let run_groups _profile =
   section "S2 - backup-group count vs peers (n x (n-1), 90 at n=10)";
   Fmt.pr "%-8s %12s %12s@." "peers" "allocated" "n*(n-1)";
   let rows =
@@ -131,14 +98,14 @@ let run_groups () =
           ])
       [2; 3; 4; 5; 6; 8; 10; 12; 16]
   in
-  record_json "groups" (Obs.Json.List rows)
+  Some (Obs.Json.List rows)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md A1-A3).                                        *)
 
-let run_ablations () =
+let run_ablations profile =
   section "Ablation A1 - supercharged convergence vs BFD interval";
-  let n_prefixes = if quick then 2_000 else 10_000 in
+  let n_prefixes = if quick profile then 2_000 else 10_000 in
   let bfd = Experiments.Ablations.bfd_sweep ~n_prefixes () in
   Experiments.Ablations.pp_points
     ~header:(Fmt.str "(%d prefixes, detect mult 3)" n_prefixes)
@@ -150,15 +117,15 @@ let run_ablations () =
     Fmt.stdout flow_mod;
   section "Ablation A3 - controller replication (S3)";
   let replicas =
-    Experiments.Ablations.replicas ~n_prefixes:(if quick then 1_000 else 5_000) ()
+    Experiments.Ablations.replicas ~n_prefixes:(if quick profile then 1_000 else 5_000) ()
   in
   Fmt.pr "%a@." Experiments.Ablations.pp_replica_report replicas;
   section "Ablation A4 - backup-groups of any size (double failure)";
   let double =
-    Experiments.Ablations.double_failure ~n_prefixes:(if quick then 500 else 2_000) ()
+    Experiments.Ablations.double_failure ~n_prefixes:(if quick profile then 500 else 2_000) ()
   in
   Fmt.pr "%a@." Experiments.Ablations.pp_double_failure double;
-  record_json "ablations"
+  Some
     (Obs.Json.Obj
        [
          ("bfd_sweep", Experiments.Ablations.points_to_json bfd);
@@ -170,11 +137,11 @@ let run_ablations () =
 (* ------------------------------------------------------------------ *)
 (* Extension tables: the other "supercharging aspects" of S1.          *)
 
-let run_extensions () =
+let run_extensions profile =
   section "Extension E1 - FIB compression through the switch (S1, ViAggre-style)";
   Fmt.pr "%-10s %16s %14s %12s@." "prefixes" "router entries" "switch rules"
     "compression";
-  let sizes = if quick then [1_000; 10_000] else [1_000; 10_000; 50_000; 200_000; 500_000] in
+  let sizes = if quick profile then [1_000; 10_000] else [1_000; 10_000; 50_000; 200_000; 500_000] in
   List.iter
     (fun count ->
       let table = Openflow.Flow_table.create () in
@@ -183,7 +150,9 @@ let run_extensions () =
           ~allocator:(Supercharger.Vnh.create ())
           ~send:(function
             | Openflow.Message.Flow_mod fm -> Openflow.Flow_table.apply table fm
-            | _ -> ())
+            | Hello | Echo_request _ | Echo_reply _ | Features_request
+            | Features_reply _ | Packet_in _ | Packet_out _ | Barrier_request _
+            | Barrier_reply _ -> ())
           ()
       in
       Supercharger.Fib_cache.declare_peer cache
@@ -202,7 +171,7 @@ let run_extensions () =
         (Supercharger.Fib_cache.compression_factor cache))
     sizes;
   section "Extension E2 - load balancing: router hash vs supercharged (S1)";
-  let n_targets = 4 and n_flows = if quick then 2_000 else 20_000 in
+  let n_targets = 4 and n_flows = if quick profile then 2_000 else 20_000 in
   let rng = Sim.Rng.create ~seed:3L in
   let flows =
     Array.init n_flows (fun i ->
@@ -235,46 +204,44 @@ let run_extensions () =
   Fmt.pr "  router hash imbalance (max/mean): %.2f@."
     (float_of_int (Array.fold_left max 0 hash_loads) /. mean);
   Fmt.pr "  supercharged imbalance:           %.2f@."
-    (Supercharger.Load_balancer.imbalance lb)
+    (Supercharger.Load_balancer.imbalance lb);
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Data-plane throughput: trie vs flat FIB, single vs batched.         *)
 
-let run_dataplane () =
+let run_dataplane profile =
   section "Data plane - LPM lookups/sec and forwarding packets/sec";
-  let sizes = if quick then [10_000; 50_000] else [10_000; 100_000; 1_000_000] in
-  let lookups = if quick then 200_000 else 1_000_000 in
-  let fwd_packets = if quick then 50_000 else 200_000 in
+  let sizes = if quick profile then [10_000; 50_000] else [10_000; 100_000; 1_000_000] in
+  let lookups = if quick profile then 200_000 else 1_000_000 in
+  let fwd_packets = if quick profile then 50_000 else 200_000 in
   Fmt.pr "table sizes: %a; %d lookups per structure; %d packets per path@.@."
     Fmt.(list ~sep:comma int)
     sizes lookups fwd_packets;
   let report =
-    Experiments.Dataplane.run ~sizes ~lookups ~fwd_packets
-      ~progress:(fun msg -> Fmt.epr "  %s@." msg)
-      ()
+    Experiments.Dataplane.run ~sizes ~lookups ~fwd_packets ~progress ()
   in
   Fmt.pr "%a@." Experiments.Dataplane.pp_report report;
-  record_json "dataplane" (Experiments.Dataplane.to_json report)
+  Some (Experiments.Dataplane.to_json report)
 
 (* ------------------------------------------------------------------ *)
 (* Partial deployment - the multi-router topology sweep.               *)
 
-let run_deployment () =
+let deployment ~routers ~n_prefixes ?coverage ?seeds () =
+  let rows = Experiments.Deployment.run ~routers ~n_prefixes ?coverage ?seeds ~progress () in
+  Experiments.Deployment.pp_table Fmt.stdout rows;
+  rows
+
+let run_deployment profile =
   section "Deployment - convergence win vs % of routers supercharged";
-  let routers = if full then 10 else 8 in
-  let n_prefixes = if quick then 150 else if full then 1_000 else 400 in
-  let coverage = if quick then Some [ 0; 1; 2; 3; 5; routers ] else None in
+  let routers = if full profile then 10 else 8 in
+  let n_prefixes = if quick profile then 150 else if full profile then 1_000 else 400 in
+  let coverage = if quick profile then Some [ 0; 1; 2; 3; 5; routers ] else None in
   Fmt.pr
     "%d-router ring+chords, 3 externs, %d prefixes; scenarios: extern-fail, srlg, \
      partition@.@."
     routers n_prefixes;
-  let rows =
-    Experiments.Deployment.run ~routers ~n_prefixes ?coverage
-      ~progress:(fun msg -> Fmt.epr "  %s@." msg)
-      ()
-  in
-  Fmt.pr "%a" Experiments.Deployment.pp_table rows;
-  record_json "deployment" (Experiments.Deployment.to_json rows)
+  Some (Experiments.Deployment.to_json (deployment ~routers ~n_prefixes ?coverage ()))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel per-operation micro-benchmarks.                            *)
@@ -410,7 +377,7 @@ let ops_tests () =
   Test.make_grouped ~name:"ops"
     [listing1; lpm_lookup; decision_rank; bgp_codec; wire_codec; flow_lookup]
 
-let run_ops () =
+let run_ops _profile =
   section "Per-operation costs (Bechamel, OLS estimate per call)";
   let open Bechamel in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -440,42 +407,32 @@ let run_ops () =
         else Fmt.str "%.2f ms" (ns /. 1e6)
       in
       Fmt.pr "%-32s %14s@." name pretty)
-    (List.sort compare rows)
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
+  None
 
 (* ------------------------------------------------------------------ *)
 
-let () =
-  let rec strip_json_arg = function
-    | "--json" :: _ :: rest -> strip_json_arg rest
-    | a :: rest -> a :: strip_json_arg rest
-    | [] -> []
-  in
-  let named =
-    List.filter
-      (fun a -> not (String.length a > 1 && a.[0] = '-'))
-      (strip_json_arg (List.tl (Array.to_list Sys.argv)))
-  in
-  let want name = named = [] || List.mem "all" named || List.mem name named in
-  Fmt.pr "Supercharged router - benchmark harness (see DESIGN.md S4 index)@.";
-  if want "fig5" then run_fig5 ();
-  if want "micro" then run_micro ();
-  if want "groups" then run_groups ();
-  if want "ablations" then run_ablations ();
-  if want "extensions" then run_extensions ();
-  if want "dataplane" then run_dataplane ();
-  if want "ribscale" then run_ribscale ();
-  if want "deployment" then run_deployment ();
-  if want "ops" then run_ops ();
-  (match json_file with
-  | Some file ->
-    Obs.Json.to_file file
-      (Obs.Json.Obj
-         [
-           ("schema", Obs.Json.String "bench/v1");
-           ("quick", Obs.Json.Bool quick);
-           ("full", Obs.Json.Bool full);
-           ("sections", Obs.Json.Obj (List.rev !json_sections));
-         ]);
-    Fmt.pr "@.json artifact written to %s@." file
-  | None -> ());
-  Fmt.pr "@.done.@."
+(* Every section, in run order (also the order of the JSON sections). *)
+let all =
+  [
+    ("fig5", run_fig5);
+    ("micro", run_micro);
+    ("groups", run_groups);
+    ("ablations", run_ablations);
+    ("extensions", run_extensions);
+    ("dataplane", run_dataplane);
+    ("ribscale", run_ribscale);
+    ("deployment", run_deployment);
+    ("ops", run_ops);
+  ]
+
+(* Opens [path] now, so an unwritable path fails before any section
+   runs; the returned function writes the bench/v1 envelope. *)
+let json_sink profile = function
+  | None -> ignore
+  | Some path ->
+    let oc = try open_out path with Sys_error msg -> Fmt.epr "sc_lab: %s@." msg; exit 1 in
+    fun sections ->
+      Obs.Json.to_channel oc (Experiments.Bench.envelope profile sections);
+      close_out oc;
+      Fmt.pr "@.json artifact written to %s@." path

@@ -1,4 +1,4 @@
-(** Data-plane throughput benchmark (the [bench -- dataplane] section).
+(** Data-plane throughput benchmark (the [sc_lab bench dataplane] section).
 
     Measures the packet-forwarding hot path this PR series rebuilds:
     LPM lookups/sec over internet-shaped tables from 10 k to 1 M

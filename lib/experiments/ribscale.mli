@@ -1,4 +1,4 @@
-(** Internet-scale control-plane benchmark: the [bench -- ribscale]
+(** Internet-scale control-plane benchmark: the [sc_lab bench ribscale]
     section and the committed [BENCH_ribscale.json] baseline.
 
     One {!Workloads.Rib_gen.generate_internet} table (generated once at

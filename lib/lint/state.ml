@@ -56,20 +56,13 @@ let render t = Obs.Json.to_string (to_json t) ^ "\n"
 
 type drift = Fresh_matches | Missing_committed | Diverged
 
-(* Obs.Json is emit-only (no parser), so drift is byte comparison of
-   the deterministic render — which is also exactly what git diff shows
-   the reviewer. *)
+(* Drift is byte comparison of the deterministic render, stricter than
+   comparing parsed trees, and exactly what git diff shows the
+   reviewer. *)
 let check ~committed_path t =
   if not (Sys.file_exists committed_path) then Missing_committed
-  else begin
-    let ic = open_in_bin committed_path in
-    let len = in_channel_length ic in
-    let committed = really_input_string ic len in
-    close_in ic;
+  else
+    let committed = In_channel.with_open_bin committed_path In_channel.input_all in
     if String.equal committed (render t) then Fresh_matches else Diverged
-  end
 
-let write ~path t =
-  let oc = open_out_bin path in
-  output_string oc (render t);
-  close_out oc
+let write ~path t = Out_channel.with_open_bin path (fun oc -> output_string oc (render t))

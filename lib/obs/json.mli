@@ -1,7 +1,7 @@
-(** Minimal JSON tree + printer.
+(** Minimal JSON tree, printer and reader.
 
-    Just enough to serialise bench results and metrics snapshots without
-    an external dependency. Output is deterministic: object members print
+    Just enough to serialise bench results and metrics snapshots, and to
+    read them back for baseline diffs, without an external dependency. Output is deterministic: object members print
     in the order given, floats use a round-trippable shortest form, and
     non-finite floats become [null] (JSON has no representation for
     them). *)
@@ -21,6 +21,14 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val to_file : string -> t -> unit
-(** Writes [pp] output plus a trailing newline. Truncates an existing
-    file. *)
+val to_channel : out_channel -> t -> unit
+(** Writes [pp] output plus a trailing newline. *)
+
+val of_string : string -> (t, string) result
+(** Parses RFC 8259 text: the inverse of [to_string] for every tree
+    whose floats are finite and already at the printer's 12 significant
+    digits. Integral numbers that fit an [int] read as [Int], all
+    others as [Float]. Malformed input (truncation, trailing commas or
+    characters, bad or surrogate [\u] escapes, raw control characters,
+    nesting deeper than 512) returns [Error] with the byte offset; it
+    never raises. *)

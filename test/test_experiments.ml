@@ -330,10 +330,166 @@ let fig5_tests =
           [40; 80]);
   ]
 
+(* The baseline diff against the committed BENCH_*.json files, edited
+   one field at a time. *)
+
+let committed name =
+  match Obs.Json.of_string (Test_obs.committed_baseline name) with
+  | Ok json -> json
+  | Error e -> Alcotest.failf "%s: %s" name e
+
+let map_member k f = function
+  | Obs.Json.Obj members ->
+    Obs.Json.Obj (List.map (fun (k', v) -> (k', if String.equal k k' then f v else v)) members)
+  | json -> json
+
+(* Rewrites the rows of one section's table: [f i row] for the i-th. *)
+let map_rows ~section ?member f doc =
+  let rows = function Obs.Json.List l -> Obs.Json.List (List.mapi f l) | j -> j in
+  map_member "sections"
+    (map_member section (match member with None -> rows | Some m -> map_member m rows))
+    doc
+
+let number k = function
+  | Obs.Json.Obj row -> (
+    match List.assoc_opt k row with
+    | Some (Obs.Json.Int i) -> float_of_int i
+    | Some (Obs.Json.Float f) -> f
+    | _ -> Alcotest.failf "no numeric %s" k)
+  | _ -> Alcotest.fail "row is not an object"
+
+let get k = function Obs.Json.Obj m -> List.assoc_opt k m | _ -> None
+
+(* The committed value of [metric] in the first row of a table. *)
+let first_value name section member metric =
+  let sec = Option.bind (get "sections" (committed name)) (get section) in
+  let rows = match member with None -> sec | Some t -> Option.bind sec (get t) in
+  match rows with
+  | Some (Obs.Json.List (row :: _)) -> number metric row
+  | _ -> Alcotest.failf "%s has no %s row" name section
+
+let mentions sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Sets field [k] of a table's first row to [v]. *)
+let first_row k v i row = if i = 0 then map_member k (fun _ -> v) row else row
+
+let diff_against name edit =
+  let baseline = committed name in
+  Experiments.Bench.diff ~baseline ~run:(edit baseline)
+
+let count severity findings =
+  List.length
+    (List.filter (fun (f : Experiments.Bench.finding) -> f.severity = severity) findings)
+
+let fails = count Experiments.Bench.Fail
+let warns = count Experiments.Bench.Warn
+
+let bench_tests =
+  let gated =
+    [
+      ( "BENCH_dataplane.json",
+        "dataplane",
+        Some "lpm",
+        ["flat_lookups_per_sec"; "flat_batch_lookups_per_sec"] );
+      ("BENCH_dataplane.json", "dataplane", Some "forwarding", ["single_pps"; "batch_pps"]);
+      ( "BENCH_ribscale.json",
+        "ribscale",
+        None,
+        ["load_per_sec"; "churn_per_sec"; "storm_per_sec"] );
+    ]
+  in
+  [
+    Alcotest.test_case "envelope shape" `Quick (fun () ->
+        Alcotest.(check string) "bench/v1"
+          {|{"schema":"bench/v1","quick":true,"full":false,"sections":{"x":1}}|}
+          (Obs.Json.to_string
+             (Experiments.Bench.envelope Experiments.Bench.Quick [("x", Obs.Json.Int 1)])));
+    Alcotest.test_case "each committed baseline passes against itself" `Quick (fun () ->
+        List.iter
+          (fun name ->
+            Alcotest.(check int) (name ^ " fails") 0 (fails (diff_against name Fun.id)))
+          ["BENCH_dataplane.json"; "BENCH_ribscale.json"]);
+    Alcotest.test_case "every throughput gate fails at 0.69x and holds at 0.71x" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, section, member, metrics) ->
+            List.iter
+              (fun metric ->
+                let at factor =
+                  let v = factor *. first_value name section member metric in
+                  fails
+                    (diff_against name
+                       (map_rows ~section ?member (first_row metric (Obs.Json.Float v))))
+                in
+                Alcotest.(check int) (metric ^ " at 0.69x") 1 (at 0.69);
+                Alcotest.(check int) (metric ^ " at 0.71x") 0 (at 0.71))
+              metrics)
+          gated);
+    Alcotest.test_case "peer-down visits may at most double" `Quick (fun () ->
+        let b = first_value "BENCH_ribscale.json" "ribscale" None "peer_down_visits" in
+        let at v =
+          fails
+            (diff_against "BENCH_ribscale.json"
+               (map_rows ~section:"ribscale"
+                  (first_row "peer_down_visits" (Obs.Json.Int (int_of_float v)))))
+        in
+        Alcotest.(check int) "2x + 1 fails" 1 (at ((2.0 *. b) +. 1.0));
+        Alcotest.(check int) "2x holds" 0 (at (2.0 *. b)));
+    Alcotest.test_case "a repeated storm that allocates only warns" `Quick (fun () ->
+        let findings =
+          diff_against "BENCH_ribscale.json"
+            (map_rows ~section:"ribscale" (first_row "storm_groups_repeat" (Obs.Json.Int 1)))
+        in
+        Alcotest.(check int) "no fail" 0 (fails findings);
+        Alcotest.(check int) "one warning" 1 (warns findings));
+    Alcotest.test_case "a run with no matching row warns" `Quick (fun () ->
+        List.iter
+          (fun (name, section, member, key) ->
+            let findings =
+              diff_against name
+                (map_rows ~section ?member (fun _ -> map_member key (fun _ -> Obs.Json.Int 7)))
+            in
+            Alcotest.(check int) (name ^ " fails") 0 (fails findings);
+            Alcotest.(check bool) (name ^ " warns") true
+              (List.exists
+                 (fun (f : Experiments.Bench.finding) ->
+                   f.severity = Experiments.Bench.Warn
+                   && mentions "no quick row matches" f.message)
+                 findings))
+          [
+            ("BENCH_ribscale.json", "ribscale", None, "prefixes");
+            ("BENCH_dataplane.json", "dataplane", Some "lpm", "prefixes");
+          ]);
+    Alcotest.test_case "a missing or unruled section is an error" `Quick (fun () ->
+        let empty = Experiments.Bench.envelope Experiments.Bench.Quick [] in
+        Alcotest.(check int) "missing from the run" 1
+          (fails
+             (Experiments.Bench.diff ~baseline:(committed "BENCH_ribscale.json") ~run:empty));
+        let mystery =
+          Experiments.Bench.envelope Experiments.Bench.Quick [("mystery", Obs.Json.Null)]
+        in
+        Alcotest.(check int) "no rule set" 1
+          (fails (Experiments.Bench.diff ~baseline:mystery ~run:mystery));
+        Alcotest.(check int) "empty baseline" 1
+          (fails (Experiments.Bench.diff ~baseline:empty ~run:empty));
+        Alcotest.(check int) "not bench/v1" 1
+          (fails (Experiments.Bench.diff ~baseline:Obs.Json.Null ~run:empty)));
+    Alcotest.test_case "a malformed row fails instead of raising" `Quick (fun () ->
+        let findings =
+          diff_against "BENCH_ribscale.json"
+            (map_rows ~section:"ribscale" (first_row "load_per_sec" (Obs.Json.String "fast")))
+        in
+        Alcotest.(check int) "one fail" 1 (fails findings));
+  ]
+
 let suite =
   [
     ("experiments.stats", stats_tests);
     ("experiments.lab", lab_tests);
     ("experiments.micro", micro_tests);
     ("experiments.fig5", fig5_tests);
+    ("experiments.bench", bench_tests);
   ]

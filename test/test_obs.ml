@@ -29,6 +29,101 @@ let json_tests =
         Alcotest.(check string) "empty" "{}" (str (Obs.Json.Obj [])));
   ]
 
+(* The committed bench baselines, as dune copies them next to the test
+   directory (or from the repo root when run by hand). *)
+let committed_baseline name =
+  let beside = Filename.concat Filename.parent_dir_name name in
+  let path = if Sys.file_exists beside then beside else name in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* Trees the printer round-trips: it writes floats at 12 significant
+   digits, so the generator draws finite floats already at that
+   precision; strings are arbitrary bytes, control characters
+   included. *)
+let json_gen =
+  let open QCheck.Gen in
+  let finite =
+    map
+      (fun f -> if Float.is_finite f then float_of_string (Printf.sprintf "%.12g" f) else 0.5)
+      float
+  in
+  let str = string_size ~gen:char (0 -- 12) in
+  let leaf =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun i -> Obs.Json.Int i) int;
+        map (fun f -> Obs.Json.Float f) finite;
+        map (fun s -> Obs.Json.String s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Obs.Json.List l) (list_size (0 -- 4) (self (n / 2))));
+               ( 1,
+                 map (fun m -> Obs.Json.Obj m) (list_size (0 -- 4) (pair str (self (n / 2))))
+               );
+             ])
+
+let reader_tests =
+  let parses s = Result.is_ok (Obs.Json.of_string s) in
+  [
+    Test_seed.to_alcotest
+      (QCheck.Test.make ~name:"of_string inverts to_string" ~count:500
+         (QCheck.make ~print:Obs.Json.to_string json_gen)
+         (fun t ->
+           match Obs.Json.of_string (Obs.Json.to_string t) with
+           | Ok t' -> t' = t
+           | Error _ -> false));
+    Alcotest.test_case "reads scalars, escapes and whitespace" `Quick (fun () ->
+        let read s =
+          match Obs.Json.of_string s with
+          | Ok t -> Obs.Json.to_string t
+          | Error e -> Alcotest.failf "%S: %s" s e
+        in
+        Alcotest.(check string) "int" "-42" (read " -42 ");
+        Alcotest.(check string) "float" "0.027" (read "2.7e-2");
+        Alcotest.(check string) "escapes" {|"a/b\nc\u0001"|} (read {|"a\/b\nc\u0001"|});
+        Alcotest.(check string) "utf-8" "\"\xc3\xa9\"" (read {|"\u00E9"|});
+        Alcotest.(check string) "nested" {|{"a":[1,{"b":null}],"c":true}|}
+          (read "{ \"a\" : [ 1 , { \"b\" : null } ] ,\n \"c\" : true }"));
+    Alcotest.test_case "both committed BENCH_*.json parse" `Quick (fun () ->
+        List.iter
+          (fun name ->
+            match Obs.Json.of_string (committed_baseline name) with
+            | Ok (Obs.Json.Obj members) ->
+              Alcotest.(check bool) (name ^ " has sections") true
+                (List.mem_assoc "sections" members)
+            | Ok _ -> Alcotest.failf "%s is not an object" name
+            | Error e -> Alcotest.failf "%s: %s" name e)
+          ["BENCH_dataplane.json"; "BENCH_ribscale.json"]);
+    Alcotest.test_case "malformed input is an Error, never an exception" `Quick
+      (fun () ->
+        List.iter
+          (fun (what, s) -> Alcotest.(check bool) what false (parses s))
+          [
+            ("empty", "");
+            ("truncated", {|{"a":[1,2|});
+            ("truncated string", {|"abc|});
+            ("trailing comma in a list", "[1,2,]");
+            ("trailing comma in an object", {|{"a":1,}|});
+            ("trailing garbage", {|{"a":1} x|});
+            ("bad \\u escape", {|"\u12G4"|});
+            ("short \\u escape", {|"\u12"|});
+            ("surrogate escape", {|"\ud83d\ude00"|});
+            ("raw control character", "\"a\nb\"");
+            ("leading zero", "01");
+            ("bare word", "nul");
+            ("too deep", String.make 600 '[' ^ String.make 600 ']');
+          ]);
+  ]
+
 let ring_tests =
   [
     Alcotest.test_case "unbounded ring grows and keeps order" `Quick (fun () ->
@@ -196,6 +291,7 @@ let metrics_tests =
 let suite =
   [
     ("obs.json", json_tests);
+    ("obs.json.reader", reader_tests);
     ("obs.ring", ring_tests);
     ("obs.histogram", histogram_tests);
     ("obs.metrics", metrics_tests);
