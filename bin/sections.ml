@@ -157,7 +157,7 @@ let run_extensions profile =
       in
       Supercharger.Fib_cache.declare_peer cache
         { Supercharger.Provisioner.pi_ip = Net.Ipv4.of_octets 10 0 0 2;
-          pi_mac = Net.Mac.of_int64 0xBB02L; pi_port = 2 };
+          pi_mac = Net.Mac.of_int 0xBB02; pi_port = 2 };
       let entries = Workloads.Rib_gen.generate ~seed:9L ~count in
       Array.iter
         (fun (e : Workloads.Rib_gen.entry) ->
@@ -196,7 +196,7 @@ let run_extensions profile =
   for t = 0 to n_targets - 1 do
     Supercharger.Load_balancer.add_target lb
       { Supercharger.Provisioner.pi_ip = Net.Ipv4.of_octets 10 0 0 (2 + t);
-        pi_mac = Net.Mac.of_int64 (Int64.of_int (0xBB00 + t)); pi_port = 2 + t }
+        pi_mac = Net.Mac.of_int (0xBB00 + t); pi_port = 2 + t }
   done;
   Array.iter (fun key -> ignore (Supercharger.Load_balancer.assign lb key)) flows;
   let mean = float_of_int n_flows /. float_of_int n_targets in
@@ -338,8 +338,8 @@ let ops_tests () =
   let wire_codec =
     let frame =
       Net.Ethernet.make
-        ~src:(Net.Mac.of_int64 1L)
-        ~dst:(Net.Mac.of_int64 2L)
+        ~src:(Net.Mac.of_int 1)
+        ~dst:(Net.Mac.of_int 2)
         (Net.Ethernet.Ipv4
            (Net.Ipv4_packet.udp
               ~src:(Net.Ipv4.of_octets 192 168 0 100)
@@ -357,13 +357,13 @@ let ops_tests () =
     for i = 0 to 99 do
       Openflow.Flow_table.apply table
         (Openflow.Flow_table.flow_mod ~priority:(100 + i) Openflow.Flow_table.Add
-           (Openflow.Ofmatch.dl_dst (Net.Mac.of_int64 (Int64.of_int (0xFF0000 + i))))
+           (Openflow.Ofmatch.dl_dst (Net.Mac.of_int (0xFF0000 + i)))
            [Openflow.Action.Output 1])
     done;
     let frame =
       Net.Ethernet.make
-        ~src:(Net.Mac.of_int64 1L)
-        ~dst:(Net.Mac.of_int64 0xFF0000L) (* matches the lowest-priority rule *)
+        ~src:(Net.Mac.of_int 1)
+        ~dst:(Net.Mac.of_int 0xFF0000) (* matches the lowest-priority rule *)
         (Net.Ethernet.Ipv4
            (Net.Ipv4_packet.udp
               ~src:(Net.Ipv4.of_octets 10 0 0 1)

@@ -44,8 +44,8 @@ type t = {
   state : state;
   diag : diagnostic;
   detect_mult : int;
-  my_discriminator : int32;
-  your_discriminator : int32;
+  my_discriminator : int;
+  your_discriminator : int;
   desired_min_tx_us : int;
   required_min_rx_us : int;
 }
@@ -62,9 +62,9 @@ let encode t =
   Net.Wire.Buf.u8 buf 24 (* length *);
   Net.Wire.Buf.u32 buf t.my_discriminator;
   Net.Wire.Buf.u32 buf t.your_discriminator;
-  Net.Wire.Buf.u32 buf (Int32.of_int t.desired_min_tx_us);
-  Net.Wire.Buf.u32 buf (Int32.of_int t.required_min_rx_us);
-  Net.Wire.Buf.u32 buf 0l (* required min echo rx *);
+  Net.Wire.Buf.u32 buf t.desired_min_tx_us;
+  Net.Wire.Buf.u32 buf t.required_min_rx_us;
+  Net.Wire.Buf.u32 buf 0 (* required min echo rx *);
   Net.Wire.Buf.contents buf
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
@@ -97,7 +97,7 @@ let decode s =
         let* tx = Net.Wire.Reader.u32 r in
         let* rx = Net.Wire.Reader.u32 r in
         let* _echo = Net.Wire.Reader.u32 r in
-        if Int32.equal my_discriminator 0l then
+        if my_discriminator = 0 then
           Error (Net.Wire.Malformed "bfd my discriminator")
         else
           Ok
@@ -107,13 +107,13 @@ let decode s =
               detect_mult;
               my_discriminator;
               your_discriminator;
-              desired_min_tx_us = Int32.to_int tx;
-              required_min_rx_us = Int32.to_int rx;
+              desired_min_tx_us = tx;
+              required_min_rx_us = rx;
             }
 
 let equal a b = a = b
 
 let pp ppf t =
-  Fmt.pf ppf "bfd %a diag=%a mult=%d my=%ld your=%ld tx=%dus rx=%dus" pp_state
+  Fmt.pf ppf "bfd %a diag=%a mult=%d my=%d your=%d tx=%dus rx=%dus" pp_state
     t.state pp_diagnostic t.diag t.detect_mult t.my_discriminator
     t.your_discriminator t.desired_min_tx_us t.required_min_rx_us

@@ -21,8 +21,8 @@ type t = {
   state : state;
   diag : diagnostic;
   detect_mult : int;
-  my_discriminator : int32;
-  your_discriminator : int32;  (** 0 until learned *)
+  my_discriminator : int;  (** unsigned 32-bit, as on the wire *)
+  your_discriminator : int;  (** 0 until learned *)
   desired_min_tx_us : int;  (** microseconds, as on the wire *)
   required_min_rx_us : int;
 }

@@ -2,14 +2,14 @@ type t = {
   engine : Sim.Engine.t;
   name : string;
   rng : Sim.Rng.t;
-  local_discriminator : int32;
+  local_discriminator : int;
   detect_mult : int;
   tx_interval : Sim.Time.t;
   rx_interval : Sim.Time.t;
   send : Packet.t -> unit;
   mutable state : Packet.state;
   mutable diag : Packet.diagnostic;
-  mutable remote_discriminator : int32;
+  mutable remote_discriminator : int;
   mutable remote_detect_mult : int;
   mutable remote_min_tx_us : int;
   mutable last_received : Sim.Time.t option;
@@ -41,7 +41,7 @@ let create engine ?(name = "bfd") ~local_discriminator ?(detect_mult = 3)
     send;
     state = Packet.Down;
     diag = Packet.No_diagnostic;
-    remote_discriminator = 0l;
+    remote_discriminator = 0;
     remote_detect_mult = detect_mult;
     remote_min_tx_us = 0;
     last_received = None;
@@ -59,7 +59,7 @@ let detection_time t =
      larger of our required rx and the remote's desired tx. *)
   let negotiated_us =
     Stdlib.max
-      (Int64.to_int (Int64.div (Sim.Time.to_ns t.rx_interval) 1000L))
+      (Sim.Time.to_int t.rx_interval / 1000)
       t.remote_min_tx_us
   in
   Sim.Time.mul (Sim.Time.of_us negotiated_us) t.remote_detect_mult
@@ -80,8 +80,8 @@ let control_packet t =
     detect_mult = t.detect_mult;
     my_discriminator = t.local_discriminator;
     your_discriminator = t.remote_discriminator;
-    desired_min_tx_us = Int64.to_int (Int64.div (Sim.Time.to_ns t.tx_interval) 1000L);
-    required_min_rx_us = Int64.to_int (Int64.div (Sim.Time.to_ns t.rx_interval) 1000L);
+    desired_min_tx_us = Sim.Time.to_int t.tx_interval / 1000;
+    required_min_rx_us = Sim.Time.to_int t.rx_interval / 1000;
   }
 
 let transmit t () =
@@ -95,8 +95,8 @@ let transmit t () =
    jitter also de-correlates the detection delay from the failure
    instant, giving the convergence measurements their natural spread. *)
 let jittered_interval t =
-  let base = Int64.to_float (Sim.Time.to_ns t.tx_interval) in
-  Sim.Time.of_ns (Int64.of_float (base *. (0.75 +. Sim.Rng.float t.rng 0.25)))
+  let base = Float.of_int (Sim.Time.to_int t.tx_interval) in
+  Sim.Time.of_int (Float.to_int (base *. (0.75 +. Sim.Rng.float t.rng 0.25)))
 
 let rec schedule_tx t =
   t.tx_task <-

@@ -13,7 +13,7 @@ type t
 val create :
   Sim.Engine.t ->
   ?name:string ->
-  local_discriminator:int32 ->
+  local_discriminator:int ->
   ?detect_mult:int ->
   ?tx_interval:Sim.Time.t ->
   ?rx_interval:Sim.Time.t ->

@@ -17,10 +17,9 @@ let encode_prefix buf p =
   let len = Prefix.length p in
   let nbytes = (len + 7) / 8 in
   Wire.Buf.u8 buf len;
-  let addr = Ipv4.to_int32 (Prefix.network p) in
+  let addr = Ipv4.to_int (Prefix.network p) in
   for i = 0 to nbytes - 1 do
-    Wire.Buf.u8 buf
-      (Int32.to_int (Int32.logand (Int32.shift_right_logical addr (24 - (8 * i))) 0xFFl))
+    Wire.Buf.u8 buf (addr lsr (24 - (8 * i)))
   done
 
 let decode_prefix r =
@@ -29,12 +28,9 @@ let decode_prefix r =
   else begin
     let nbytes = (len + 7) / 8 in
     let* raw = Wire.Reader.take r nbytes in
-    let addr = ref 0l in
-    String.iteri
-      (fun i c ->
-        addr := Int32.logor !addr (Int32.shift_left (Int32.of_int (Char.code c)) (24 - (8 * i))))
-      raw;
-    Ok (Prefix.make (Ipv4.of_int32 !addr) len)
+    let addr = ref 0 in
+    String.iteri (fun i c -> addr := !addr lor (Char.code c lsl (24 - (8 * i)))) raw;
+    Ok (Prefix.make (Ipv4.of_int !addr) len)
   end
 
 let rec decode_prefixes r limit acc =
@@ -84,16 +80,16 @@ let encode_attributes (a : Attributes.t) =
   in
   encode_attribute buf ~flags:flag_transitive ~code:2 ~value:as_path_value;
   encode_attribute buf ~flags:flag_transitive ~code:3
-    ~value:(value_of (fun b -> Wire.Buf.u32 b (Ipv4.to_int32 a.next_hop)));
+    ~value:(value_of (fun b -> Wire.Buf.u32 b (Ipv4.to_int a.next_hop)));
   (match a.med with
   | Some med ->
     encode_attribute buf ~flags:flag_optional ~code:4
-      ~value:(value_of (fun b -> Wire.Buf.u32 b (Int32.of_int med)))
+      ~value:(value_of (fun b -> Wire.Buf.u32 b med))
   | None -> ());
   (match a.local_pref with
   | Some lp ->
     encode_attribute buf ~flags:flag_transitive ~code:5
-      ~value:(value_of (fun b -> Wire.Buf.u32 b (Int32.of_int lp)))
+      ~value:(value_of (fun b -> Wire.Buf.u32 b lp))
   | None -> ());
   (match a.communities with
   | [] -> ()
@@ -159,7 +155,7 @@ let u32_value value name =
   if String.length value <> 4 then Error (Wire.Malformed name)
   else
     let* v = Wire.Reader.u32 (Wire.Reader.of_string value) in
-    Ok (Int32.to_int (Int32.logand v 0x7FFFFFFFl))
+    Ok (v land 0x7FFFFFFF)
 
 let decode_attributes r limit =
   let acc =
@@ -203,7 +199,7 @@ let decode_attributes r limit =
           if String.length value <> 4 then Error (Wire.Malformed "NEXT_HOP")
           else begin
             let* v = Wire.Reader.u32 (Wire.Reader.of_string value) in
-            acc.next_hop <- Some (Ipv4.of_int32 v);
+            acc.next_hop <- Some (Ipv4.of_int v);
             Ok ()
           end
         | 4 ->
@@ -235,7 +231,7 @@ let encode_body = function
     Wire.Buf.u8 buf o.version;
     Wire.Buf.u16 buf (Asn.to_int o.asn);
     Wire.Buf.u16 buf o.hold_time;
-    Wire.Buf.u32 buf (Ipv4.to_int32 o.router_id);
+    Wire.Buf.u32 buf (Ipv4.to_int o.router_id);
     Wire.Buf.u8 buf 0 (* no optional parameters *);
     Wire.Buf.contents buf
   | Message.Update u ->
@@ -288,7 +284,7 @@ let decode_open body =
          version;
          asn = Asn.of_int asn;
          hold_time;
-         router_id = Ipv4.of_int32 router_id_raw;
+         router_id = Ipv4.of_int router_id_raw;
        })
 
 let decode_update body =

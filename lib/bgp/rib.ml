@@ -1,9 +1,4 @@
-module Table = Hashtbl.Make (struct
-  type t = Net.Prefix.t
-
-  let equal = Net.Prefix.equal
-  let hash = Net.Prefix.hash
-end)
+module Table = Hashtbl.Make (Net.Prefix)
 
 module Peer_table = Hashtbl.Make (Int)
 

@@ -13,12 +13,7 @@ type peer = {
   mutable p_alive : bool;
 }
 
-module Prefix_table = Hashtbl.Make (struct
-  type t = Net.Prefix.t
-
-  let equal = Net.Prefix.equal
-  let hash = Net.Prefix.hash
-end)
+module Prefix_table = Hashtbl.Make (Net.Prefix)
 
 type t = {
   peers : (int, peer) Hashtbl.t;

@@ -93,12 +93,7 @@ let generate ~seed ?(n_peers = 12) ?(length = 10) () =
 
 (* --- interpreter ------------------------------------------------------- *)
 
-module Prefix_table = Hashtbl.Make (struct
-  type t = Net.Prefix.t
-
-  let equal = Net.Prefix.equal
-  let hash = Net.Prefix.hash
-end)
+module Prefix_table = Hashtbl.Make (Net.Prefix)
 
 type state = {
   entries : Workloads.Rib_gen.entry array;
@@ -310,7 +305,7 @@ let[@lint.domain_entry
   in
   for i = 0 to t.n_peers - 1 do
     Oracle.declare_peer st.oracle ~id:i ~ip:(peer_ip i)
-      ~mac:(Net.Mac.of_int64 (Int64.of_int (0xCC_0000_0000 + 1 + i)))
+      ~mac:(Net.Mac.of_int (0xCC_0000_0000 + 1 + i))
       ~port:(1 + i)
   done;
   (* Phase 0: every peer loads its full skewed view before the first

@@ -66,7 +66,7 @@ let make_rig (sched : Schedule.t) =
         Router.Peer.create engine
           ~name:(Fmt.str "r%d" (2 + i))
           ~asn:(Bgp.Asn.of_int (65002 + i))
-          ~mac:(Net.Mac.of_int64 (Int64.of_int (0xBB_0000_0000 + 2 + i)))
+          ~mac:(Net.Mac.of_int (0xBB_0000_0000 + 2 + i))
           ~ip:(ip (Fmt.str "10.0.0.%d" (2 + i)))
           ())
   in

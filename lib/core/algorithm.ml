@@ -6,12 +6,7 @@ let pp_emission ppf = function
   | Announce (p, attrs) -> Fmt.pf ppf "announce %a %a" Net.Prefix.pp p Bgp.Attributes.pp attrs
   | Withdraw p -> Fmt.pf ppf "withdraw %a" Net.Prefix.pp p
 
-module Prefix_table = Hashtbl.Make (struct
-  type t = Net.Prefix.t
-
-  let equal = Net.Prefix.equal
-  let hash = Net.Prefix.hash
-end)
+module Prefix_table = Hashtbl.Make (Net.Prefix)
 
 type t = {
   groups : Backup_group.t;

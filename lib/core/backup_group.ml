@@ -23,19 +23,9 @@ end
 
 module Key_table = Hashtbl.Make (Key)
 
-module Ip_table = Hashtbl.Make (struct
-  type t = Net.Ipv4.t
+module Ip_table = Hashtbl.Make (Net.Ipv4)
 
-  let equal = Net.Ipv4.equal
-  let hash = Net.Ipv4.hash
-end)
-
-module Mac_table = Hashtbl.Make (struct
-  type t = Net.Mac.t
-
-  let equal = Net.Mac.equal
-  let hash = Net.Mac.hash
-end)
+module Mac_table = Hashtbl.Make (Net.Mac)
 
 type t = {
   allocator : Vnh.t;

@@ -1,16 +1,6 @@
-module Ip_table = Hashtbl.Make (struct
-  type t = Net.Ipv4.t
+module Ip_table = Hashtbl.Make (Net.Ipv4)
 
-  let equal = Net.Ipv4.equal
-  let hash = Net.Ipv4.hash
-end)
-
-module Prefix_tbl = Hashtbl.Make (struct
-  type t = Net.Prefix.t
-
-  let equal = Net.Prefix.equal
-  let hash = Net.Prefix.hash
-end)
+module Prefix_tbl = Hashtbl.Make (Net.Prefix)
 
 type upstream = {
   up_peer : Bgp.Speaker.peer;
@@ -735,10 +725,10 @@ let enable_bfd t =
     List.iter
       (fun up ->
         if not (Ip_table.mem t.bfd_sessions up.up_ip) then begin
-          let discriminator = Int32.of_int (Ip_table.length t.bfd_sessions + 1) in
+          let discriminator = Ip_table.length t.bfd_sessions + 1 in
           let send pkt =
             Router.Endhost.send_udp endhost ~dst:up.up_ip
-              ~src_port:(49152 + Int32.to_int discriminator)
+              ~src_port:(49152 + discriminator)
               ~dst_port:Bfd.Packet.udp_port (Bfd.Packet.encode pkt)
           in
           let session =

@@ -1,16 +1,6 @@
-module Prefix_table = Hashtbl.Make (struct
-  type t = Net.Prefix.t
+module Prefix_table = Hashtbl.Make (Net.Prefix)
 
-  let equal = Net.Prefix.equal
-  let hash = Net.Prefix.hash
-end)
-
-module Ip_table = Hashtbl.Make (struct
-  type t = Net.Ipv4.t
-
-  let equal = Net.Ipv4.equal
-  let hash = Net.Ipv4.hash
-end)
+module Ip_table = Hashtbl.Make (Net.Ipv4)
 
 type t = {
   aggregate_len : int;

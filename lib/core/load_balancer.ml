@@ -1,9 +1,4 @@
-module Ip_table = Hashtbl.Make (struct
-  type t = Net.Ipv4.t
-
-  let equal = Net.Ipv4.equal
-  let hash = Net.Ipv4.hash
-end)
+module Ip_table = Hashtbl.Make (Net.Ipv4)
 
 type flow_key = {
   fk_src : Net.Ipv4.t;
@@ -180,7 +175,7 @@ let imbalance t =
    sharing alignment) collapses onto few buckets. *)
 let static_hash ~n_targets key =
   if n_targets <= 0 then invalid_arg "Load_balancer.static_hash";
-  let low = Int32.to_int (Net.Ipv4.to_int32 key.fk_dst) land 0xFF in
+  let low = Net.Ipv4.to_int key.fk_dst land 0xFF in
   low mod n_targets
 
 let rules_sent t = t.rules

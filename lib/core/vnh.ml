@@ -7,7 +7,7 @@ type t = {
 
 let default_pool = Net.Prefix.make (Net.Ipv4.of_octets 10 199 0 0) 16
 
-let create ?(pool = default_pool) ?(vmac_base = Net.Mac.of_int64 0x00FF_0000_0000L) () =
+let create ?(pool = default_pool) ?(vmac_base = Net.Mac.of_int 0x00FF_0000_0000) () =
   if Net.Prefix.length pool > 24 then invalid_arg "Vnh.create: pool smaller than /24";
   { pool; vmac_base; next = 1; free = Queue.create () }
 
@@ -22,9 +22,7 @@ let fresh t =
   | None ->
     if t.next > capacity t then failwith "Vnh.fresh: pool exhausted";
     let vnh = Net.Prefix.nth t.pool t.next in
-    let vmac =
-      Net.Mac.of_int64 (Int64.add (Net.Mac.to_int64 t.vmac_base) (Int64.of_int t.next))
-    in
+    let vmac = Net.Mac.of_int (Net.Mac.to_int t.vmac_base + t.next) in
     t.next <- t.next + 1;
     (vnh, vmac)
 
@@ -38,9 +36,8 @@ let is_virtual_mac t mac =
   (* Range check against the high-water mark: a MAC stays recognisable
      as virtual even while its pair sits on the free list, so packets
      tagged just before a release are still classified correctly. *)
-  let base = Net.Mac.to_int64 t.vmac_base in
-  let m = Net.Mac.to_int64 mac in
-  Int64.compare m base > 0
-  && Int64.compare m (Int64.add base (Int64.of_int (t.next - 1))) <= 0
+  let base = Net.Mac.to_int t.vmac_base in
+  let m = Net.Mac.to_int mac in
+  m > base && m <= base + t.next - 1
 
 let pool t = t.pool

@@ -139,9 +139,9 @@ let switch_rows ~rules ~packets ~batch ~seed =
     let peers =
       [|
         { Supercharger.Provisioner.pi_ip = Net.Ipv4.of_octets 10 0 0 2;
-          pi_mac = Net.Mac.of_int64 0xBB02L; pi_port = 2 };
+          pi_mac = Net.Mac.of_int 0xBB02; pi_port = 2 };
         { Supercharger.Provisioner.pi_ip = Net.Ipv4.of_octets 10 0 0 3;
-          pi_mac = Net.Mac.of_int64 0xBB03L; pi_port = 3 };
+          pi_mac = Net.Mac.of_int 0xBB03; pi_port = 3 };
       |]
     in
     Array.iter (Supercharger.Fib_cache.declare_peer cache) peers;
@@ -158,7 +158,7 @@ let switch_rows ~rules ~packets ~batch ~seed =
       Array.init packets (fun i ->
           let e : Workloads.Rib_gen.entry = Sim.Rng.pick rng entries in
           let dst = Net.Prefix.nth e.prefix (Sim.Rng.int rng (min (Net.Prefix.size e.prefix) 256)) in
-          Net.Ethernet.make ~src:(Net.Mac.of_int64 0xAA01L) ~dst:vmac
+          Net.Ethernet.make ~src:(Net.Mac.of_int 0xAA01) ~dst:vmac
             (Net.Ethernet.Ipv4
                (Net.Ipv4_packet.udp
                   ~src:(Net.Ipv4.of_octets 192 168 0 100)
@@ -195,8 +195,8 @@ let switch_rows ~rules ~packets ~batch ~seed =
    routes) and transit frames addressed to the router's interface
    MAC. *)
 let router_rows ~routes ~packets ~batch ~seed =
-  let if_mac = Net.Mac.of_int64 0xAA01L in
-  let peer_mac = Net.Mac.of_int64 0xBB02L in
+  let if_mac = Net.Mac.of_int 0xAA01 in
+  let peer_mac = Net.Mac.of_int 0xBB02 in
   let build () =
     let engine = Sim.Engine.create () in
     let router =

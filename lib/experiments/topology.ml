@@ -1,3 +1,5 @@
+module Prefix_table = Hashtbl.Make (Net.Prefix)
+
 type mode =
   | Plain
   | Supercharged of { replicas : int }
@@ -112,10 +114,10 @@ let mac_r1_data = Net.Mac.of_string_exn "00:aa:00:00:00:01"
 let mac_r1_src = Net.Mac.of_string_exn "00:aa:00:00:00:02"
 let mac_source = Net.Mac.of_string_exn "00:dd:00:00:00:01"
 
-let mac_peer i = Net.Mac.of_int64 (Int64.add 0x00BB_0000_0000L (Int64.of_int (2 + i)))
+let mac_peer i = Net.Mac.of_int (0x00BB_0000_0000 + 2 + i)
 
 let mac_controller i =
-  Net.Mac.of_int64 (Int64.add 0x00CC_0000_0000L (Int64.of_int (i + 1)))
+  Net.Mac.of_int (0x00CC_0000_0000 + i + 1)
 
 let ip_r1 = Net.Ipv4.of_octets 10 0 0 1
 let ip_peer i = Net.Ipv4.of_octets 10 0 0 (2 + i)
@@ -442,15 +444,15 @@ let run params =
      keyed on the advertised prefixes (O(1) per FIB write). *)
   (match params.traffic with
   | Event_driven ->
-    let by_prefix = Hashtbl.create (Array.length flows * 2) in
+    let by_prefix = Prefix_table.create (Array.length flows * 2) in
     Array.iter
-      (fun (flow, prefix) -> Hashtbl.replace by_prefix (Net.Prefix.to_string prefix) flow)
+      (fun (flow, prefix) -> Prefix_table.replace by_prefix prefix flow)
       flows_with_prefixes;
     Router.Fib.on_applied fib (fun op ->
         let prefix =
           match op with Router.Fib.Set (p, _) -> p | Router.Fib.Remove p -> p
         in
-        match Hashtbl.find_opt by_prefix (Net.Prefix.to_string prefix) with
+        match Prefix_table.find_opt by_prefix prefix with
         | Some (flow : Trafficgen.Flow.t) ->
           Trafficgen.Monitor.probe_flow monitor flow.Trafficgen.Flow.index
         | None -> ());

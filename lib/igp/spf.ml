@@ -1,9 +1,4 @@
-module Ip_table = Hashtbl.Make (struct
-  type t = Net.Ipv4.t
-
-  let equal = Net.Ipv4.equal
-  let hash = Net.Ipv4.hash
-end)
+module Ip_table = Hashtbl.Make (Net.Ipv4)
 
 type entry = {
   dist : int;

@@ -1,12 +1,18 @@
-(** 48-bit Ethernet MAC addresses, stored in the low 48 bits of an
-    [int64]. *)
+(** 48-bit Ethernet MAC addresses, held in the low 48 bits of an
+    immediate [int], so a MAC never allocates. *)
 
-type t
+type t [@@immediate]
 
 val of_int64 : int64 -> t
 (** Keeps only the low 48 bits. *)
 
 val to_int64 : t -> int64
+
+val of_int : int -> t
+(** Keeps only the low 48 bits. *)
+
+val to_int : t -> int
+(** The 48-bit value, in [0, 2{^48} - 1]. *)
 
 val of_bytes : int array -> t
 (** [of_bytes [|b0; ...; b5|]] with [b0] the most significant byte.
@@ -30,6 +36,8 @@ val is_broadcast : t -> bool
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** [Int64.to_int (to_int64 m) land max_int], i.e. the 48-bit value. *)
 
 val pp : Format.formatter -> t -> unit

@@ -7,37 +7,35 @@ type writer = {
   mutable closed : bool;
 }
 
-let u32 ch v =
-  output_byte ch (Int32.to_int (Int32.shift_right_logical v 24) land 0xFF);
-  output_byte ch (Int32.to_int (Int32.shift_right_logical v 16) land 0xFF);
-  output_byte ch (Int32.to_int (Int32.shift_right_logical v 8) land 0xFF);
-  output_byte ch (Int32.to_int v land 0xFF)
+let nanosecond_magic = 0xA1B23C4D
 
 let u16 ch v =
   output_byte ch ((v lsr 8) land 0xFF);
   output_byte ch (v land 0xFF)
 
+let u32 ch v =
+  u16 ch (v lsr 16);
+  u16 ch v
+
 let create_file path =
   let channel = open_out_bin path in
-  u32 channel 0xA1B23C4Dl (* nanosecond magic *);
+  u32 channel nanosecond_magic;
   u16 channel 2 (* version major *);
   u16 channel 4 (* version minor *);
-  u32 channel 0l (* thiszone *);
-  u32 channel 0l (* sigfigs *);
-  u32 channel 65535l (* snaplen *);
-  u32 channel 1l (* LINKTYPE_ETHERNET *);
+  u32 channel 0 (* thiszone *);
+  u32 channel 0 (* sigfigs *);
+  u32 channel 65535 (* snaplen *);
+  u32 channel 1 (* LINKTYPE_ETHERNET *);
   { channel; count = 0; closed = false }
 
 let write_frame w time frame =
   if w.closed then invalid_arg "Pcap.write_frame: writer closed";
-  let ns = Sim.Time.to_ns time in
-  let sec = Int64.div ns 1_000_000_000L in
-  let nsec = Int64.rem ns 1_000_000_000L in
+  let ns = Sim.Time.to_int time in
   let data = Wire.encode_frame frame in
-  u32 w.channel (Int64.to_int32 sec);
-  u32 w.channel (Int64.to_int32 nsec);
-  u32 w.channel (Int32.of_int (String.length data));
-  u32 w.channel (Int32.of_int (String.length data));
+  u32 w.channel (ns / 1_000_000_000);
+  u32 w.channel (ns mod 1_000_000_000);
+  u32 w.channel (String.length data);
+  u32 w.channel (String.length data);
   output_string w.channel data;
   w.count <- w.count + 1
 
@@ -64,14 +62,14 @@ let read_file path =
   close_in ic;
   let r = Wire.Reader.of_string raw in
   let* magic = Wire.Reader.u32 r in
-  if not (Int32.equal magic 0xA1B23C4Dl) then Error (Wire.Unsupported "pcap magic")
+  if magic <> nanosecond_magic then Error (Wire.Unsupported "pcap magic")
   else
     let* _versions = Wire.Reader.u32 r in
     let* _thiszone = Wire.Reader.u32 r in
     let* _sigfigs = Wire.Reader.u32 r in
     let* _snaplen = Wire.Reader.u32 r in
     let* linktype = Wire.Reader.u32 r in
-    if not (Int32.equal linktype 1l) then Error (Wire.Unsupported "pcap link type")
+    if linktype <> 1 then Error (Wire.Unsupported "pcap link type")
     else begin
       let rec records acc =
         if Wire.Reader.remaining r = 0 then Ok (List.rev acc)
@@ -80,14 +78,9 @@ let read_file path =
           let* nsec = Wire.Reader.u32 r in
           let* caplen = Wire.Reader.u32 r in
           let* _origlen = Wire.Reader.u32 r in
-          let* data = Wire.Reader.take r (Int32.to_int caplen) in
+          let* data = Wire.Reader.take r caplen in
           let* frame = Wire.decode_frame data in
-          let time =
-            Sim.Time.of_ns
-              (Int64.add
-                 (Int64.mul (Int64.logand (Int64.of_int32 sec) 0xFFFFFFFFL) 1_000_000_000L)
-                 (Int64.logand (Int64.of_int32 nsec) 0xFFFFFFFFL))
-          in
+          let time = Sim.Time.of_int ((sec * 1_000_000_000) + nsec) in
           records ((time, frame) :: acc)
       in
       records []

@@ -1,12 +1,23 @@
-type t = { network : Ipv4.t; length : int }
+(* One immediate int: the canonical network's unsigned 32 bits above a
+   6-bit length, [(network lsl 6) lor length]. Int order on the packing
+   is network order (unsigned), then length, and int equality is prefix
+   equality. *)
+type t = int
+
+let length_bits = 6
+let length_mask = (1 lsl length_bits) - 1
 
 let mask_of_length len =
-  if len = 0 then 0l else Int32.shift_left (-1l) (32 - len)
+  if len = 0 then 0 else (0xFFFF_FFFF lsl (32 - len)) land 0xFFFF_FFFF
+
+let network_bits t = t lsr length_bits
 
 let make addr len =
   if len < 0 || len > 32 then invalid_arg "Prefix.make: length out of range";
-  let network = Ipv4.of_int32 (Int32.logand (Ipv4.to_int32 addr) (mask_of_length len)) in
-  { network; length = len }
+  ((Ipv4.to_int addr land mask_of_length len) lsl length_bits) lor len
+
+let network t = Ipv4.of_int (network_bits t)
+let length t = t land length_mask
 
 let of_string s =
   let fail () = Error (Printf.sprintf "invalid prefix %S" s) in
@@ -22,45 +33,36 @@ let of_string s =
 let v s =
   match of_string s with Ok t -> t | Error msg -> invalid_arg msg
 
-let to_string t = Printf.sprintf "%s/%d" (Ipv4.to_string t.network) t.length
+let to_string t = Printf.sprintf "%s/%d" (Ipv4.to_string (network t)) (length t)
 
-let network t = t.network
-let length t = t.length
-
-let mem addr t =
-  let m = mask_of_length t.length in
-  Int32.equal (Int32.logand (Ipv4.to_int32 addr) m) (Ipv4.to_int32 t.network)
+let mem addr t = Ipv4.to_int addr land mask_of_length (length t) = network_bits t
 
 let subset inner outer =
-  inner.length >= outer.length && mem inner.network outer
+  length inner >= length outer && mem (network inner) outer
 
-let first t = t.network
+let first = network
 
-let last t =
-  let host_mask = Int32.lognot (mask_of_length t.length) in
-  Ipv4.of_int32 (Int32.logor (Ipv4.to_int32 t.network) host_mask)
+let last t = Ipv4.of_int (network_bits t lor lnot (mask_of_length (length t)))
 
 let size t =
-  if t.length = 0 then max_int else 1 lsl (32 - t.length)
+  let len = length t in
+  if len = 0 then max_int else 1 lsl (32 - len)
 
 let nth t i =
-  if i < 0 || (t.length > 0 && i >= size t) then invalid_arg "Prefix.nth";
-  Ipv4.add t.network i
+  if i < 0 || (length t > 0 && i >= size t) then invalid_arg "Prefix.nth";
+  Ipv4.add (network t) i
 
 let default_route = make Ipv4.any 0
 
-let compare a b =
-  let c = Ipv4.compare a.network b.network in
-  if c <> 0 then c else Int.compare a.length b.length
-
-let equal a b = compare a b = 0
+let compare = Int.compare
+let equal = Int.equal
 
 (* Mix the address bits down into the low bits: Hashtbl masks the hash
    with (bucket count - 1), and real routing tables are /24-heavy, so a
    plain [addr * 33 + len] leaves the masked bits nearly constant and
    degenerates the table into a handful of very long chains. *)
 let hash t =
-  let h = (Ipv4.hash t.network * 0x9E3779B1) lxor (t.length * 0x85EBCA6B) in
+  let h = (Ipv4.hash (network t) * 0x9E3779B1) lxor (length t * 0x85EBCA6B) in
   (h lxor (h lsr 16)) land max_int
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -2,9 +2,10 @@
 
     Prefixes are kept in canonical form: host bits below the mask are
     always zero, so structural equality coincides with semantic
-    equality. *)
+    equality. A prefix is one immediate [int], [(network lsl 6) lor
+    length], so it never allocates and int order is {!compare}. *)
 
-type t
+type t [@@immediate]
 
 val make : Ipv4.t -> int -> t
 (** [make addr len] is [addr/len] with host bits cleared.

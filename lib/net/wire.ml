@@ -21,11 +21,8 @@ module Buf = struct
     u8 t v
 
   let u32 t v =
-    let byte n = Int32.to_int (Int32.logand (Int32.shift_right_logical v n) 0xFFl) in
-    u8 t (byte 24);
-    u8 t (byte 16);
-    u8 t (byte 8);
-    u8 t (byte 0)
+    u16 t (v lsr 16);
+    u16 t v
 
   let bytes t s = Buffer.add_string t s
   let length = Buffer.length
@@ -58,13 +55,8 @@ module Reader = struct
   let u32 t =
     if remaining t < 4 then Error (Truncated "u32")
     else begin
-      let byte i = Int32.of_int (Char.code t.data.[t.pos + i]) in
       let v =
-        Int32.logor
-          (Int32.shift_left (byte 0) 24)
-          (Int32.logor
-             (Int32.shift_left (byte 1) 16)
-             (Int32.logor (Int32.shift_left (byte 2) 8) (byte 3)))
+        (String.get_uint16_be t.data t.pos lsl 16) lor String.get_uint16_be t.data (t.pos + 2)
       in
       t.pos <- t.pos + 4;
       Ok v
@@ -108,11 +100,11 @@ let read_mac r =
   let* s = Reader.take r 6 in
   Ok (Mac.of_bytes (Array.init 6 (fun i -> Char.code s.[i])))
 
-let write_ip buf ip = Buf.u32 buf (Ipv4.to_int32 ip)
+let write_ip buf ip = Buf.u32 buf (Ipv4.to_int ip)
 
 let read_ip r =
   let* v = Reader.u32 r in
-  Ok (Ipv4.of_int32 v)
+  Ok (Ipv4.of_int v)
 
 (* --- ARP (RFC 826, Ethernet/IPv4) ------------------------------------ *)
 

@@ -30,7 +30,9 @@ module Buf : sig
   val create : unit -> t
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
-  val u32 : t -> int32 -> unit
+  val u32 : t -> int -> unit
+  (** Writes the low 32 bits, big-endian. *)
+
   val bytes : t -> string -> unit
   val length : t -> int
   val contents : t -> string
@@ -44,7 +46,9 @@ module Reader : sig
   val remaining : t -> int
   val u8 : t -> (int, error) result
   val u16 : t -> (int, error) result
-  val u32 : t -> (int32, error) result
+  val u32 : t -> (int, error) result
+  (** The unsigned big-endian value, in [0, 2{^32} - 1]. *)
+
   val take : t -> int -> (string, error) result
   val rest : t -> string
 end

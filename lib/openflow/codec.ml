@@ -61,7 +61,7 @@ let encode_match buf (m : Ofmatch.t) =
     lor ip_wild m.nw_dst w_nw_dst_shift
     lor w_dl_vlan_pcp lor w_nw_tos
   in
-  Wire.Buf.u32 buf (Int32.of_int wildcards);
+  Wire.Buf.u32 buf wildcards;
   Wire.Buf.u16 buf (Option.value m.in_port ~default:0);
   write_mac buf (Option.value m.dl_src ~default:Mac.zero);
   write_mac buf (Option.value m.dl_dst ~default:Mac.zero);
@@ -73,15 +73,15 @@ let encode_match buf (m : Ofmatch.t) =
   Wire.Buf.u8 buf (Option.value m.nw_proto ~default:0);
   Wire.Buf.u16 buf 0 (* pad *);
   Wire.Buf.u32 buf
-    (Ipv4.to_int32 (match m.nw_src with Some p -> Prefix.network p | None -> Ipv4.any));
+    (Ipv4.to_int (match m.nw_src with Some p -> Prefix.network p | None -> Ipv4.any));
   Wire.Buf.u32 buf
-    (Ipv4.to_int32 (match m.nw_dst with Some p -> Prefix.network p | None -> Ipv4.any));
+    (Ipv4.to_int (match m.nw_dst with Some p -> Prefix.network p | None -> Ipv4.any));
   Wire.Buf.u16 buf (Option.value m.tp_src ~default:0);
   Wire.Buf.u16 buf (Option.value m.tp_dst ~default:0)
 
 let decode_match r =
   let* wildcards_raw = Wire.Reader.u32 r in
-  let wildcards = Int32.to_int wildcards_raw land 0x3FFFFF in
+  let wildcards = wildcards_raw land 0x3FFFFF in
   let* in_port = Wire.Reader.u16 r in
   let* dl_src = read_mac r in
   let* dl_dst = read_mac r in
@@ -103,7 +103,7 @@ let decode_match r =
        encoder writes for an absent match. *)
     let missing = (wildcards lsr shift) land 0x3F in
     if missing > 32 then None
-    else Some (Prefix.make (Ipv4.of_int32 raw) (32 - missing))
+    else Some (Prefix.make (Ipv4.of_int raw) (32 - missing))
   in
   Ok
     {
@@ -149,11 +149,11 @@ let encode_action buf = function
   | Action.Set_nw_src ip ->
     Wire.Buf.u16 buf 6;
     Wire.Buf.u16 buf 8;
-    Wire.Buf.u32 buf (Ipv4.to_int32 ip)
+    Wire.Buf.u32 buf (Ipv4.to_int ip)
   | Action.Set_nw_dst ip ->
     Wire.Buf.u16 buf 7;
     Wire.Buf.u16 buf 8;
-    Wire.Buf.u32 buf (Ipv4.to_int32 ip)
+    Wire.Buf.u32 buf (Ipv4.to_int ip)
 
 let encode_actions actions =
   let buf = Wire.Buf.create () in
@@ -182,7 +182,7 @@ let decode_action r =
     if len <> 8 then Error (Wire.Malformed "set_nw action length")
     else
       let* raw = Wire.Reader.u32 r in
-      let ip = Ipv4.of_int32 raw in
+      let ip = Ipv4.of_int raw in
       Ok (if ty = 6 then Action.Set_nw_src ip else Action.Set_nw_dst ip)
   | _ -> Error (Wire.Unsupported "action type")
 
@@ -215,6 +215,15 @@ let command_of_int = function
 
 let port_desc_size = 48
 
+(* The two 64-bit fields (datapath id, cookie) are the codec's only
+   int64s: an OCaml int has 63 bits. *)
+let write_u64 buf v =
+  Wire.Buf.u32 buf (Int64.to_int (Int64.shift_right_logical v 32));
+  Wire.Buf.u32 buf (Int64.to_int v)
+
+let int64_of_halves hi lo =
+  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+
 let encode_body msg =
   let buf = Wire.Buf.create () in
   (match msg with
@@ -222,30 +231,29 @@ let encode_body msg =
   | Message.Features_request | Message.Barrier_request _ | Message.Barrier_reply _ ->
     ()
   | Message.Features_reply { datapath_id; n_ports } ->
-    Wire.Buf.u32 buf (Int64.to_int32 (Int64.shift_right_logical datapath_id 32));
-    Wire.Buf.u32 buf (Int64.to_int32 datapath_id);
-    Wire.Buf.u32 buf 256l (* n_buffers *);
+    write_u64 buf datapath_id;
+    Wire.Buf.u32 buf 256 (* n_buffers *);
     Wire.Buf.u8 buf 1 (* n_tables *);
     Wire.Buf.u8 buf 0;
     Wire.Buf.u16 buf 0 (* pad *);
-    Wire.Buf.u32 buf 0l (* capabilities *);
-    Wire.Buf.u32 buf 0xFFl (* supported actions *);
+    Wire.Buf.u32 buf 0 (* capabilities *);
+    Wire.Buf.u32 buf 0xFF (* supported actions *);
     for port = 0 to n_ports - 1 do
       Wire.Buf.u16 buf port;
-      write_mac buf (Mac.of_int64 (Int64.of_int (0x020000000000 + port)));
+      write_mac buf (Mac.of_int (0x020000000000 + port));
       let name = Printf.sprintf "port%d" port in
       Wire.Buf.bytes buf name;
       Wire.Buf.bytes buf (String.make (16 - String.length name) '\x00');
-      Wire.Buf.u32 buf 0l (* config *);
-      Wire.Buf.u32 buf 0l (* state *);
-      Wire.Buf.u32 buf 0l;
-      Wire.Buf.u32 buf 0l;
-      Wire.Buf.u32 buf 0l;
-      Wire.Buf.u32 buf 0l
+      Wire.Buf.u32 buf 0 (* config *);
+      Wire.Buf.u32 buf 0 (* state *);
+      Wire.Buf.u32 buf 0;
+      Wire.Buf.u32 buf 0;
+      Wire.Buf.u32 buf 0;
+      Wire.Buf.u32 buf 0
     done
   | Message.Packet_in { in_port; frame } ->
     let data = Wire.encode_frame frame in
-    Wire.Buf.u32 buf (-1l) (* buffer_id: unbuffered *);
+    Wire.Buf.u32 buf 0xFFFF_FFFF (* buffer_id: unbuffered *);
     Wire.Buf.u16 buf (String.length data);
     Wire.Buf.u16 buf in_port;
     Wire.Buf.u8 buf 0 (* reason: no match *);
@@ -253,20 +261,19 @@ let encode_body msg =
     Wire.Buf.bytes buf data
   | Message.Packet_out { actions; frame } ->
     let acts = encode_actions actions in
-    Wire.Buf.u32 buf (-1l) (* buffer_id: data attached *);
+    Wire.Buf.u32 buf 0xFFFF_FFFF (* buffer_id: data attached *);
     Wire.Buf.u16 buf 0xFFFF (* in_port: none *);
     Wire.Buf.u16 buf (String.length acts);
     Wire.Buf.bytes buf acts;
     Wire.Buf.bytes buf (Wire.encode_frame frame)
   | Message.Flow_mod fm ->
     encode_match buf fm.Flow_table.fm_match;
-    Wire.Buf.u32 buf (Int64.to_int32 (Int64.shift_right_logical fm.Flow_table.fm_cookie 32));
-    Wire.Buf.u32 buf (Int64.to_int32 fm.Flow_table.fm_cookie);
+    write_u64 buf fm.Flow_table.fm_cookie;
     Wire.Buf.u16 buf (command_to_int fm.Flow_table.command);
     Wire.Buf.u16 buf 0 (* idle_timeout *);
     Wire.Buf.u16 buf 0 (* hard_timeout *);
     Wire.Buf.u16 buf fm.Flow_table.fm_priority;
-    Wire.Buf.u32 buf (-1l) (* buffer_id *);
+    Wire.Buf.u32 buf 0xFFFF_FFFF (* buffer_id *);
     Wire.Buf.u16 buf 0xFFFF (* out_port: none *);
     Wire.Buf.u16 buf 0 (* flags *);
     Wire.Buf.bytes buf (encode_actions fm.Flow_table.fm_actions));
@@ -291,14 +298,9 @@ let encode msg =
   Wire.Buf.u8 buf version;
   Wire.Buf.u8 buf ty;
   Wire.Buf.u16 buf (8 + String.length body);
-  Wire.Buf.u32 buf (Int32.of_int xid);
+  Wire.Buf.u32 buf xid;
   Wire.Buf.bytes buf body;
   Wire.Buf.contents buf
-
-let int64_of_halves hi lo =
-  Int64.logor
-    (Int64.shift_left (Int64.of_int32 hi) 32)
-    (Int64.logand (Int64.of_int32 lo) 0xFFFFFFFFL)
 
 let decode_features_reply body =
   let r = Wire.Reader.of_string body in
@@ -370,7 +372,7 @@ let decode s =
     let* ty = Wire.Reader.u8 r in
     let* total = Wire.Reader.u16 r in
     let* xid_raw = Wire.Reader.u32 r in
-    let xid = Int32.to_int xid_raw land 0x7FFFFFFF in
+    let xid = xid_raw land 0x7FFFFFFF in
     if total < 8 then Error (Wire.Malformed "openflow length")
     else if total > String.length s then Error (Wire.Truncated "openflow body")
     else

@@ -12,12 +12,7 @@ type interface = {
   mutable tx : (Net.Ethernet.frame -> unit) option;
 }
 
-module Ip_table = Hashtbl.Make (struct
-  type t = Net.Ipv4.t
-
-  let equal = Net.Ipv4.equal
-  let hash = Net.Ipv4.hash
-end)
+module Ip_table = Hashtbl.Make (Net.Ipv4)
 
 type t = {
   engine : Sim.Engine.t;
@@ -288,13 +283,13 @@ let on_peer_failure t f = t.failure_cb <- Some f
 
 let enable_bfd t ~peer ~remote_ip ~interface ?detect_mult ?tx_interval () =
   let iface = t.interfaces.(interface) in
-  let discriminator = Int32.of_int (Ip_table.length t.bfd_by_remote + 1) in
+  let discriminator = Ip_table.length t.bfd_by_remote + 1 in
   let send pkt =
     let payload = Bfd.Packet.encode pkt in
     Arp_cache.resolve t.arp ~interface remote_ip (fun mac ->
         let packet =
           Net.Ipv4_packet.udp ~src:iface.ip ~dst:remote_ip
-            ~src_port:(49152 + Int32.to_int discriminator)
+            ~src_port:(49152 + discriminator)
             ~dst_port:Bfd.Packet.udp_port payload
         in
         transmit t interface

@@ -1,9 +1,4 @@
-module Ip_table = Hashtbl.Make (struct
-  type t = Net.Ipv4.t
-
-  let equal = Net.Ipv4.equal
-  let hash = Net.Ipv4.hash
-end)
+module Ip_table = Hashtbl.Make (Net.Ipv4)
 
 type t = {
   engine : Sim.Engine.t;
@@ -19,7 +14,7 @@ type t = {
   mutable tx : (Net.Ethernet.frame -> unit) option;
   mutable delivery_cb : (Net.Ipv4_packet.t -> unit) option;
   mutable delivered : int;
-  mutable next_discriminator : int32;
+  mutable next_discriminator : int;
 }
 
 let create engine ~name ~asn ~mac ~ip ?bfd_detect_mult ?bfd_tx_interval () =
@@ -37,7 +32,7 @@ let create engine ~name ~asn ~mac ~ip ?bfd_detect_mult ?bfd_tx_interval () =
     tx = None;
     delivery_cb = None;
     delivered = 0;
-    next_discriminator = 1l;
+    next_discriminator = 1;
   }
 
 let name t = t.name
@@ -65,13 +60,13 @@ let bfd_responder t remote_ip =
   | Some session -> session
   | None ->
     let discriminator = t.next_discriminator in
-    t.next_discriminator <- Int32.succ t.next_discriminator;
+    t.next_discriminator <- t.next_discriminator + 1;
     let send pkt =
       match Ip_table.find_opt t.remote_macs remote_ip with
       | Some dst_mac ->
         let packet =
           Net.Ipv4_packet.udp ~src:t.ip ~dst:remote_ip
-            ~src_port:(49152 + Int32.to_int discriminator)
+            ~src_port:(49152 + discriminator)
             ~dst_port:Bfd.Packet.udp_port (Bfd.Packet.encode pkt)
         in
         transmit t (Net.Ethernet.make ~src:t.mac ~dst:dst_mac (Net.Ethernet.Ipv4 packet))

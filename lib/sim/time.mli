@@ -6,13 +6,20 @@
     integer arithmetic keeps every experiment bit-for-bit deterministic,
     which the paper's replica-redundancy argument (§3) relies on. *)
 
-type t
-(** An instant (or duration) in nanoseconds. *)
+type t [@@immediate]
+(** An instant (or duration) in nanoseconds, held as an immediate
+    [int] (63 bits), so a time never allocates. *)
 
 val zero : t
 
 val of_ns : int64 -> t
 val to_ns : t -> int64
+
+val of_int : int -> t
+(** [of_int n] is [n] nanoseconds. *)
+
+val to_int : t -> int
+(** [to_int t] is [t] in nanoseconds. *)
 
 val of_us : int -> t
 (** [of_us n] is [n] microseconds. *)

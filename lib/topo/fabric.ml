@@ -1,9 +1,4 @@
-module Prefix_tbl = Hashtbl.Make (struct
-  type t = Net.Prefix.t
-
-  let equal = Net.Prefix.equal
-  let hash = Net.Prefix.hash
-end)
+module Prefix_tbl = Hashtbl.Make (Net.Prefix)
 
 type outcome =
   | Delivered of int

@@ -1,9 +1,4 @@
-module Prefix_tbl = Hashtbl.Make (struct
-  type t = Net.Prefix.t
-
-  let equal = Net.Prefix.equal
-  let hash = Net.Prefix.hash
-end)
+module Prefix_tbl = Hashtbl.Make (Net.Prefix)
 
 module BG = Supercharger.Backup_group
 module Prov = Supercharger.Provisioner
@@ -346,7 +341,7 @@ let create engine ~spec ~index ~activity ?(fib_batch_start = Sim.Time.of_ms 10)
           Prov.declare_peer prov
             {
               Prov.pi_ip = Spec.extern_ip k;
-              pi_mac = Net.Mac.of_int64 (Int64.of_int (0x00aa_0000_0000 + k));
+              pi_mac = Net.Mac.of_int (0x00aa_0000_0000 + k);
               pi_port = k;
             })
         spec.Spec.externs;

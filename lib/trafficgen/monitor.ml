@@ -22,7 +22,7 @@ let create engine ?(grid = Flow.grid_default) ~sink ~send ~flows () =
       sink;
       send;
       flows;
-      scheduled_until = Array.make (Array.length flows) (Sim.Time.of_ns (-1L));
+      scheduled_until = Array.make (Array.length flows) (Sim.Time.of_int (-1));
       last_arrival = Array.make (Array.length flows) None;
       gaps = Array.make (Array.length flows) [];
       first_send_since_delivery = Array.make (Array.length flows) None;
@@ -90,7 +90,7 @@ let inject t index = send_now t index
 let probe_flow t index =
   let slot =
     Sim.Time.next_multiple ~grid:t.grid
-      (Sim.Time.add (Sim.Engine.now t.engine) (Sim.Time.of_ns 1L))
+      (Sim.Time.add (Sim.Engine.now t.engine) (Sim.Time.of_int 1))
   in
   if Sim.Time.(t.scheduled_until.(index) < slot) then begin
     t.scheduled_until.(index) <- slot;

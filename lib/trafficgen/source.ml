@@ -14,7 +14,7 @@ let start t =
   if Option.is_none t.task then begin
     let first =
       Sim.Time.next_multiple ~grid:t.grid
-        (Sim.Time.add (Sim.Engine.now t.engine) (Sim.Time.of_ns 1L))
+        (Sim.Time.add (Sim.Engine.now t.engine) (Sim.Time.of_int 1))
     in
     t.task <-
       Some

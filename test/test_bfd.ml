@@ -6,8 +6,8 @@ let sample_packet =
     Bfd.Packet.state = Bfd.Packet.Up;
     diag = Bfd.Packet.No_diagnostic;
     detect_mult = 3;
-    my_discriminator = 7l;
-    your_discriminator = 9l;
+    my_discriminator = 7;
+    your_discriminator = 9;
     desired_min_tx_us = 40_000;
     required_min_rx_us = 40_000;
   }
@@ -39,7 +39,7 @@ let packet_tests =
         Alcotest.(check int) "length" 24 (String.length (Bfd.Packet.encode sample_packet)));
     Alcotest.test_case "zero discriminator rejected" `Quick (fun () ->
         let raw =
-          Bfd.Packet.encode { sample_packet with Bfd.Packet.my_discriminator = 1l }
+          Bfd.Packet.encode { sample_packet with Bfd.Packet.my_discriminator = 1 }
         in
         let corrupted = Bytes.of_string raw in
         Bytes.set corrupted 4 '\x00';
@@ -72,11 +72,11 @@ let make_pair ?(tx_interval = Sim.Time.of_ms 40) ?(detect_mult = 3) () =
              | None -> ()))
   in
   let a =
-    Bfd.Session.create e ~name:"a" ~local_discriminator:1l ~detect_mult ~tx_interval
+    Bfd.Session.create e ~name:"a" ~local_discriminator:1 ~detect_mult ~tx_interval
       ~send:(pipe b_ref) ()
   in
   let b =
-    Bfd.Session.create e ~name:"b" ~local_discriminator:2l ~detect_mult ~tx_interval
+    Bfd.Session.create e ~name:"b" ~local_discriminator:2 ~detect_mult ~tx_interval
       ~send:(pipe a_ref) ()
   in
   a_ref := Some a;

@@ -24,4 +24,6 @@ let () =
          Test_check.suite;
          Test_ribscale.suite;
          Test_lint.suite;
+         Test_scalars.suite;
+         Test_golden.suite;
        ])

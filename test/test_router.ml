@@ -399,7 +399,7 @@ let peer_tests =
         Router.Peer.connect r2 link Net.Link.B;
         let session_state = ref Bfd.Packet.Down in
         let session =
-          Bfd.Session.create e ~name:"host-bfd" ~local_discriminator:42l
+          Bfd.Session.create e ~name:"host-bfd" ~local_discriminator:42
             ~tx_interval:(Sim.Time.of_ms 40)
             ~send:(fun pkt ->
               Router.Endhost.send_udp host ~dst:(ip "10.0.0.2") ~src_port:49152
