@@ -435,7 +435,7 @@ let lint_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info ["json"] ~docv:"FILE" ~doc:"Also write the report as JSON (schema lint/v2).")
+      & info ["json"] ~docv:"FILE" ~doc:"Also write the report as JSON (schema lint/v3).")
   in
   let strict_arg =
     Arg.(
@@ -464,23 +464,11 @@ let lint_cmd =
       value & opt_all string []
       & info ["except"] ~docv:"RULE" ~doc:"Skip the named rule(s) (repeatable).")
   in
-  let cache_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info ["cache"] ~docv:"FILE"
-          ~doc:"Facts-cache file (default: ROOT/_build/sc_lint.cache).")
-  in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info ["no-cache"] ~doc:"Re-parse every file; neither read nor write the cache.")
-  in
   (* Exit codes: 0 clean; 1 findings (errors, or warnings under
      --strict); 2 a file failed to parse; 3 inventory drift. Parse
      failure wins over findings, findings over drift: a tree that can't
      be read can't be trusted about anything else. *)
-  let run root json strict inventory only except cache no_cache =
+  let run root json strict inventory only except =
     let unknown =
       List.filter
         (fun r -> not (List.mem r Lint.Engine.all_rule_ids))
@@ -495,15 +483,7 @@ let lint_cmd =
       exit 2
     end;
     let only = match only with [] -> None | rs -> Some rs in
-    let cache =
-      if no_cache then None
-      else
-        Some
-          (match cache with
-          | Some p -> p
-          | None -> Filename.concat root "_build/sc_lint.cache")
-    in
-    let report = Lint.Engine.scan_tree ?cache ?only ~except root in
+    let report = Lint.Engine.scan_tree ?only ~except root in
     Lint.Engine.pp_report Fmt.stdout report;
     (match json with
     | Some path ->
@@ -545,7 +525,7 @@ let lint_cmd =
           3 inventory drift.")
     Term.(
       const run $ root_arg $ json_arg $ strict_arg $ inventory_arg $ only_arg
-      $ except_arg $ cache_arg $ no_cache_arg)
+      $ except_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -1,8 +1,8 @@
 (* The sections of [sc_lab bench]: every table and figure of the
-   paper's evaluation (S4), the DESIGN.md ablations and the Bechamel
-   per-operation costs. Each prints its table and returns its bench/v1
-   JSON, if any; [sc_lab fig5] and [sc_lab deployment] print through
-   the same [fig5] and [deployment] functions. *)
+   paper's evaluation (S4) and the DESIGN.md ablations. Each prints its
+   table and returns its bench/v1 JSON, if any; [sc_lab fig5] and
+   [sc_lab deployment] print through the same [fig5] and [deployment]
+   functions. *)
 
 let quick = function Experiments.Bench.Quick -> true | Paper | Full -> false
 let full = function Experiments.Bench.Full -> true | Quick | Paper -> false
@@ -244,173 +244,6 @@ let run_deployment profile =
   Some (Experiments.Deployment.to_json (deployment ~routers ~n_prefixes ?coverage ()))
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel per-operation micro-benchmarks.                            *)
-
-let ops_tests () =
-  let open Bechamel in
-  (* Listing 1 per-update cost on a warm table: alternate a prefix's
-     best route so every call exercises a real change. *)
-  let listing1 =
-    let rib = Bgp.Rib.create () in
-    let groups = Supercharger.Backup_group.create (Supercharger.Vnh.create ()) in
-    let algo = Supercharger.Algorithm.create groups in
-    let entries = Workloads.Rib_gen.generate ~seed:1L ~count:50_000 in
-    let nh2 = Net.Ipv4.of_octets 10 0 0 2 and nh3 = Net.Ipv4.of_octets 10 0 0 3 in
-    Array.iter
-      (fun (e : Workloads.Rib_gen.entry) ->
-        List.iter
-          (fun (peer_id, nh, lp) ->
-            let attrs =
-              Bgp.Attributes.make
-                ~as_path:[Bgp.Attributes.Seq [Bgp.Asn.of_int 65002]]
-                ~local_pref:lp ~next_hop:nh ()
-            in
-            match
-              Bgp.Rib.announce rib e.prefix
-                (Bgp.Route.make ~peer_id ~peer_router_id:nh attrs)
-            with
-            | Some change -> ignore (Supercharger.Algorithm.process_changes algo [change])
-            | None -> ())
-          [(0, nh2, 200); (1, nh3, 100)])
-      entries;
-    let flip = ref false in
-    let target = entries.(0).Workloads.Rib_gen.prefix in
-    Test.make ~name:"listing1/process_update"
-      (Staged.stage (fun () ->
-           flip := not !flip;
-           let lp = if !flip then 300 else 200 in
-           let attrs =
-             Bgp.Attributes.make
-               ~as_path:[Bgp.Attributes.Seq [Bgp.Asn.of_int 65002]]
-               ~local_pref:lp ~next_hop:nh2 ()
-           in
-           match
-             Bgp.Rib.announce rib target
-               (Bgp.Route.make ~peer_id:0 ~peer_router_id:nh2 attrs)
-           with
-           | Some change ->
-             ignore (Supercharger.Algorithm.process_changes algo [change])
-           | None -> ()))
-  in
-  let lpm_lookup =
-    let table = Net.Lpm.create () in
-    let entries = Workloads.Rib_gen.generate ~seed:2L ~count:100_000 in
-    Array.iter (fun (e : Workloads.Rib_gen.entry) -> Net.Lpm.insert table e.prefix ()) entries;
-    let addrs =
-      Array.map (fun (e : Workloads.Rib_gen.entry) -> Net.Prefix.network e.prefix) entries
-    in
-    let i = ref 0 in
-    Test.make ~name:"lpm/lookup_100k"
-      (Staged.stage (fun () ->
-           i := (!i + 7919) land 0xFFFF;
-           ignore (Net.Lpm.lookup table addrs.(!i mod Array.length addrs))))
-  in
-  let decision_rank =
-    let routes =
-      List.init 5 (fun i ->
-          Bgp.Route.make ~peer_id:i
-            ~peer_router_id:(Net.Ipv4.of_octets 10 0 0 (2 + i))
-            (Bgp.Attributes.make
-               ~as_path:[Bgp.Attributes.Seq [Bgp.Asn.of_int (65000 + i)]]
-               ~local_pref:(100 + (i mod 3))
-               ~next_hop:(Net.Ipv4.of_octets 10 0 0 (2 + i))
-               ()))
-    in
-    Test.make ~name:"decision/rank_5_routes"
-      (Staged.stage (fun () -> ignore (Bgp.Decision.rank routes)))
-  in
-  let bgp_codec =
-    let update =
-      Bgp.Message.announce
-        (Bgp.Attributes.make
-           ~as_path:[Bgp.Attributes.Seq [Bgp.Asn.of_int 65002; Bgp.Asn.of_int 3000]]
-           ~med:10 ~local_pref:200
-           ~next_hop:(Net.Ipv4.of_octets 10 0 0 2)
-           ())
-        [Net.Prefix.v "1.0.0.0/24"; Net.Prefix.v "2.0.0.0/16"]
-    in
-    Test.make ~name:"bgp_codec/encode_decode"
-      (Staged.stage (fun () ->
-           match Bgp.Codec.decode_exact (Bgp.Codec.encode update) with
-           | Ok _ -> ()
-           | Error _ -> assert false))
-  in
-  let wire_codec =
-    let frame =
-      Net.Ethernet.make
-        ~src:(Net.Mac.of_int 1)
-        ~dst:(Net.Mac.of_int 2)
-        (Net.Ethernet.Ipv4
-           (Net.Ipv4_packet.udp
-              ~src:(Net.Ipv4.of_octets 192 168 0 100)
-              ~dst:(Net.Ipv4.of_octets 1 0 0 1)
-              ~src_port:5001 ~dst_port:9000 (String.make 22 'x')))
-    in
-    Test.make ~name:"wire/frame_encode_decode"
-      (Staged.stage (fun () ->
-           match Net.Wire.decode_frame (Net.Wire.encode_frame frame) with
-           | Ok _ -> ()
-           | Error _ -> assert false))
-  in
-  let flow_lookup =
-    let table = Openflow.Flow_table.create () in
-    for i = 0 to 99 do
-      Openflow.Flow_table.apply table
-        (Openflow.Flow_table.flow_mod ~priority:(100 + i) Openflow.Flow_table.Add
-           (Openflow.Ofmatch.dl_dst (Net.Mac.of_int (0xFF0000 + i)))
-           [Openflow.Action.Output 1])
-    done;
-    let frame =
-      Net.Ethernet.make
-        ~src:(Net.Mac.of_int 1)
-        ~dst:(Net.Mac.of_int 0xFF0000) (* matches the lowest-priority rule *)
-        (Net.Ethernet.Ipv4
-           (Net.Ipv4_packet.udp
-              ~src:(Net.Ipv4.of_octets 10 0 0 1)
-              ~dst:(Net.Ipv4.of_octets 1 0 0 1)
-              ~src_port:1 ~dst_port:2 "x"))
-    in
-    let ctx = { Openflow.Ofmatch.arrival_port = 0; frame } in
-    Test.make ~name:"flow_table/lookup_100_rules"
-      (Staged.stage (fun () -> ignore (Openflow.Flow_table.lookup table ctx)))
-  in
-  Test.make_grouped ~name:"ops"
-    [listing1; lpm_lookup; decision_rank; bgp_codec; wire_codec; flow_lookup]
-
-let run_ops _profile =
-  section "Per-operation costs (Bechamel, OLS estimate per call)";
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[monotonic_clock] (ops_tests ()) in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some (x :: _) -> x
-          | Some [] | None -> nan
-        in
-        (name, ns) :: acc)
-      results []
-  in
-  Fmt.pr "%-32s %14s@." "operation" "time/call";
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if Float.is_nan ns then "n/a"
-        else if ns < 1_000.0 then Fmt.str "%.0f ns" ns
-        else if ns < 1_000_000.0 then Fmt.str "%.2f us" (ns /. 1e3)
-        else Fmt.str "%.2f ms" (ns /. 1e6)
-      in
-      Fmt.pr "%-32s %14s@." name pretty)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
-  None
-
-(* ------------------------------------------------------------------ *)
 
 (* Every section, in run order (also the order of the JSON sections). *)
 let all =
@@ -423,7 +256,6 @@ let all =
     ("dataplane", run_dataplane);
     ("ribscale", run_ribscale);
     ("deployment", run_deployment);
-    ("ops", run_ops);
   ]
 
 (* Opens [path] now, so an unwritable path fails before any section

@@ -60,7 +60,6 @@ type t = {
          failure, so the peer never re-sends after one; this shadow is
          the only way the slow path's RIB withdrawal can be undone on
          recovery. *)
-  mutable igp_cost_fn : (Net.Ipv4.t -> int) option;
   mutable failover_cb : (failed:Net.Ipv4.t -> flow_mods:int -> unit) option;
   mutable failovers : int;
   mutable updates_processed : int;
@@ -122,7 +121,6 @@ let create engine ~name ~asn ~router_id ?(group_size = 2)
     bfd_sessions = Ip_table.create 8;
     failed = [];
     adj_rib_in = Ip_table.create 4;
-    igp_cost_fn = None;
     failover_cb = None;
     failovers = 0;
     updates_processed = 0;
@@ -367,11 +365,6 @@ let record_adj_rib_in t (up : upstream) (u : Bgp.Message.update) =
     List.iter (fun p -> Prefix_tbl.replace adj p attrs) u.Bgp.Message.nlri
   | None -> ()
 
-let igp_cost_of t (attrs : Bgp.Attributes.t) =
-  match t.igp_cost_fn with
-  | Some cost_of -> cost_of attrs.Bgp.Attributes.next_hop
-  | None -> 0
-
 let handle_upstream_update t (up : upstream) update =
   t.updates_processed <- t.updates_processed + 1;
   Obs.Metrics.incr t.m_updates;
@@ -384,14 +377,9 @@ let handle_upstream_update t (up : upstream) update =
        recorded it and the recovery resync will apply it. *)
     ()
   else begin
-    let igp_cost =
-      match update.Bgp.Message.attrs with
-      | Some attrs -> igp_cost_of t attrs
-      | None -> 0
-    in
     let changes =
       Bgp.Rib.apply_update t.rib ~peer_id:up.up_peer.id
-        ~peer_router_id:(peer_router_id up.up_peer) ~igp_cost update
+        ~peer_router_id:(peer_router_id up.up_peer) update
     in
     with_install_barrier t (fun () ->
         relay_emissions t (Algorithm.process_changes t.algorithm changes))
@@ -419,7 +407,6 @@ let resync_peer_routes t (up : upstream) =
       (fun prefix attrs acc ->
         Bgp.Rib.apply_update t.rib ~peer_id
           ~peer_router_id:(peer_router_id up.up_peer)
-          ~igp_cost:(igp_cost_of t attrs)
           { Bgp.Message.withdrawn = []; attrs = Some attrs; nlri = [ prefix ] }
         @ acc)
       adj []
@@ -429,25 +416,6 @@ let resync_peer_routes t (up : upstream) =
   | changes ->
     with_install_barrier t (fun () ->
         relay_emissions t (Algorithm.process_changes t.algorithm changes))
-
-(* Wire a live IGP node into the decision process. Costs come from the
-   node's memoized SPF table (one Dijkstra per database change, however
-   many routes are ranked), and every IGP topology change re-ranks the
-   stored routes — hot-potato routing — by replaying each upstream's
-   Adj-RIB-In against the new costs: [resync_peer_routes] re-announces
-   with fresh [igp_cost] and [Rib.announce] turns no-op re-announcements
-   into zero churn, so only genuinely re-ranked prefixes move. *)
-let attach_igp t node =
-  t.igp_cost_fn <-
-    Some
-      (fun nh ->
-        match Igp.Node.distance_to node nh with
-        | Some d -> d
-        (* An IGP-unreachable next hop ranks below every reachable one
-           (half of max_int so the comparison cannot overflow). *)
-        | None -> max_int / 2);
-  Igp.Node.on_change node (fun _distances ->
-      List.iter (fun up -> resync_peer_routes t up) t.upstreams)
 
 (* The slow path is debounced: it only withdraws the peer's routes once
    the failure has persisted for [bfd_debounce]. A spurious BFD flap
@@ -782,8 +750,6 @@ let quiescent t =
   && t.pending_acks = []
   && t.slow_path_waits = []
   && t.inflight_transitions = 0
-
-let set_igp_cost_fn t f = t.igp_cost_fn <- Some f
 
 let on_failover t f = t.failover_cb <- Some f
 let failovers_handled t = t.failovers

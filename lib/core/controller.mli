@@ -164,23 +164,6 @@ val bfd_session : t -> Net.Ipv4.t -> Bfd.Session.t option
 (** The BFD session towards an upstream peer, if {!start} created one.
     Exposed so fault harnesses can inject spurious state transitions. *)
 
-val set_igp_cost_fn : t -> (Net.Ipv4.t -> int) -> unit
-(** Plugs an IGP cost oracle (e.g. [Igp.Node.distance_to]) into the
-    decision process: routes are stored with the IGP distance to their
-    next hop, so step 6 of the tie-break — and hence the backup-group
-    order — follows intra-domain reachability, the paper's "other
-    intra-domain routing protocols can also be used" remark. Without it
-    every next hop costs 0 (all peers directly connected, as in the
-    paper's lab). *)
-
-val attach_igp : t -> Igp.Node.t -> unit
-(** Binds a live IGP node as the cost oracle {e and} subscribes to its
-    changes: each SPF recomputation replays every upstream's Adj-RIB-In
-    with fresh costs, so hot-potato re-ranking happens without a session
-    reset (identical re-announcements are absorbed by the RIB). Next
-    hops the IGP cannot reach rank below every reachable one. Takes over
-    the node's [on_change] slot and the controller's cost function. *)
-
 val on_failover : t -> (failed:Net.Ipv4.t -> flow_mods:int -> unit) -> unit
 (** Fires when the Listing 2 procedure completes (rules handed to the
     switch; they still take the switch's per-rule latency to land). *)

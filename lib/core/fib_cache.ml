@@ -108,9 +108,6 @@ let route t prefix target =
 
 let resolve t addr = Net.Flat_fib.lookup_value t.specifics addr
 
-let[@lint.zero_alloc] resolve_batch t addrs out =
-  Net.Flat_fib.lookup_batch t.specifics addrs out
-
 let specifics t = Net.Flat_fib.cardinal t.specifics
 let aggregates t = Prefix_table.length t.aggregate_refs
 

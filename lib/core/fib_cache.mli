@@ -58,11 +58,6 @@ val resolve : t -> Net.Ipv4.t -> Net.Ipv4.t option
     the specifics) — what the switch rules implement. Zero-alloc flat
     lookup, so also safe on per-packet paths. *)
 
-val resolve_batch : t -> Net.Ipv4.t array -> Net.Ipv4.t option array -> unit
-(** [resolve_batch t addrs out] resolves a burst in one pass, writing
-    [resolve t addrs.(i)] into [out.(i)].
-    @raise Invalid_argument if [out] is shorter than [addrs]. *)
-
 val specifics : t -> int
 (** Specific prefixes held in the switch. *)
 

@@ -1,5 +1,4 @@
-(** Driving the lint pass: parsing, the facts cache, whole-program
-    assembly, reports.
+(** Driving the lint pass: parsing, whole-program assembly, reports.
 
     Parsing uses the compiler's own front end ([Pparse] for on-disk
     files, [Parse] for in-memory fixtures), so anything the compiler
@@ -8,8 +7,7 @@
 
     Each file is parsed {e exactly once}: {!Index.extract} runs the
     per-file rules and the whole-program fact extraction over the same
-    AST, and the {!Passes} stage works from facts alone. With a cache
-    ({!scan_tree}'s [?cache]), unchanged files are not parsed at all. *)
+    AST, and the {!Passes} stage works from facts alone. *)
 
 val rule_parse : string
 val rule_mli : string
@@ -21,7 +19,6 @@ val all_rule_ids : string list
 
 type report = {
   files : int;  (** implementation files linted *)
-  cache_hits : int;  (** files whose facts came from the cache *)
   diagnostics : Diagnostic.t list;  (** sorted, suppressions removed *)
   index : Index.t;  (** for the inventory ({!State}) *)
 }
@@ -52,7 +49,6 @@ val lint_file : ?root:string -> string -> Diagnostic.t list
 
 val scan_tree :
   ?dirs:string list ->
-  ?cache:string ->
   ?only:string list ->
   ?except:string list ->
   string ->
@@ -61,13 +57,12 @@ val scan_tree :
     [["lib"; "bin"]], recursively, in sorted order), runs the
     whole-program passes, and additionally reports a warning-level
     [missing-mli] diagnostic for any [lib/] module without an
-    interface file. [?cache] names the facts-cache file to read and
-    rewrite. [?only]/[?except] select rules by id; [parse-error] always
-    surfaces. *)
+    interface file. [?only]/[?except] select rules by id; [parse-error]
+    always surfaces. *)
 
 val to_json : report -> Obs.Json.t
-(** Schema [lint/v2]: counts (including [cache_hits]) plus the sorted
-    diagnostic list — byte-stable across runs. *)
+(** Schema [lint/v3]: counts plus the sorted diagnostic list —
+    byte-stable across runs. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Every diagnostic, one per line, then a one-line summary. *)

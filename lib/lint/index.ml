@@ -2,11 +2,10 @@
    globals, an approximate qualified-name reference graph, annotation
    sites) extracted from one shared parse, then resolved across files.
 
-   Facts are deliberately plain data — strings, ints, diagnostics — so
-   a digest-keyed cache can marshal them and a re-run on an unchanged
-   tree never re-parses (see Cache). Everything that needs more than
-   one file (call-graph walks, partial-application arities, inventory
-   drift) happens at whole-program time over these facts. *)
+   Facts are deliberately plain data — strings, ints, diagnostics.
+   Everything that needs more than one file (call-graph walks,
+   partial-application arities, inventory drift) happens at
+   whole-program time over these facts. *)
 
 open Parsetree
 module SS = Set.Make (String)
@@ -58,7 +57,6 @@ type allow = { al_rules : string list; al_from : int; al_to : int }
 
 type file_facts = {
   ff_file : string;
-  ff_digest : string;
   ff_module : string;  (** wrapped module path, e.g. ["Obs.Metrics"] *)
   ff_library : string;  (** wrapping library module, e.g. ["Obs"] *)
   ff_diags : Diagnostic.t list;
@@ -376,7 +374,7 @@ let rule_annotation = "lint-annotation"
 let known_lint_attrs =
   SS.of_list ["lint.allow"; "lint.domain_local"; "lint.domain_entry"; "lint.zero_alloc"; "lint.guarded_by"]
 
-let extract ~file ~digest ~library structure =
+let extract ~file ~library structure =
   let module_path = module_name ~library file in
   let diags = ref [] in
   let report ~loc ~rule fmt =
@@ -575,7 +573,6 @@ let extract ~file ~digest ~library structure =
   in
   {
     ff_file = file;
-    ff_digest = digest;
     ff_module = module_path;
     ff_library = library;
     ff_diags = List.sort_uniq Diagnostic.compare (rule_diags @ own_diags);

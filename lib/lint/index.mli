@@ -1,14 +1,13 @@
 (** The whole-program index: per-file facts and their assembly.
 
     [extract] runs once per parsed file and distils everything the
-    whole-program passes need into plain, marshal-safe data: the
+    whole-program passes need into plain data: the
     module-level bindings with their qualified names, arities and raw
     references (an approximate call graph), every module-level mutable
     value with its concurrency classification, ambient-nondeterminism
     sites, [[@lint.*]] annotations, and the per-file rule diagnostics
     themselves. [build] then assembles the files into one index that
-    {!Passes} walks without ever touching an AST — which is what lets
-    {!Cache} make warm re-runs near-instant.
+    {!Passes} walks without ever touching an AST.
 
     Annotation vocabulary (unknown or malformed [lint.*] attributes are
     themselves a [lint-annotation] error):
@@ -55,7 +54,6 @@ type allow = { al_rules : string list; al_from : int; al_to : int }
 
 type file_facts = {
   ff_file : string;
-  ff_digest : string;
   ff_module : string;
   ff_library : string;
   ff_diags : Diagnostic.t list;
@@ -82,8 +80,7 @@ val module_name : library:string -> string -> string
 (** ["Obs.Metrics"] for [lib/obs/metrics.ml]; a file named like its
     library is the library root module itself. *)
 
-val extract :
-  file:string -> digest:string -> library:string -> Parsetree.structure -> file_facts
+val extract : file:string -> library:string -> Parsetree.structure -> file_facts
 (** One pass over one parsed file: per-file rules (via {!Rules}),
     annotation validation, mutable-global classification, reference
     and nondeterminism collection, and the per-file half of the

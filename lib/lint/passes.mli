@@ -17,8 +17,7 @@
       The per-file half (closures, tuple/record/variant construction,
       [List] combinators, formatting) runs in {!Index.extract}.
 
-    All passes walk plain facts, never ASTs, so they are cheap even
-    when every file was a cache hit. *)
+    All passes walk plain facts, never ASTs, so they are cheap. *)
 
 val rule_shared : string
 val rule_cross : string

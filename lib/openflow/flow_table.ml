@@ -161,13 +161,6 @@ let[@lint.zero_alloc] lookup t ctx =
     e.packets <- e.packets + 1;
     hit
 
-let[@lint.zero_alloc] peek_batch t ctxs out =
-  if Array.length out < Array.length ctxs then
-    invalid_arg "Flow_table.peek_batch: output array shorter than input";
-  for i = 0 to Array.length ctxs - 1 do
-    Array.unsafe_set out i (find t (Array.unsafe_get ctxs i)).some_entry
-  done
-
 let[@lint.zero_alloc] lookup_batch t ctxs out =
   if Array.length out < Array.length ctxs then
     invalid_arg "Flow_table.lookup_batch: output array shorter than input";

@@ -73,9 +73,6 @@ val lookup_batch : t -> Ofmatch.context array -> entry option array -> unit
     [hot-path-alloc] and at runtime by the test suite. Raises
     [Invalid_argument] if [out] is shorter than [ctxs]. *)
 
-val peek_batch : t -> Ofmatch.context array -> entry option array -> unit
-(** Counter-free variant of {!lookup_batch}; pointwise {!peek}. *)
-
 val entries : t -> entry list
 (** Priority-descending (lookup) order. *)
 

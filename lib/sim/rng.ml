@@ -1,17 +1,25 @@
 (* Splitmix64 (Steele, Lea, Flood 2014): tiny state, passes BigCrush for
-   the purposes of workload generation, trivially reproducible. *)
+   the purposes of workload generation, trivially reproducible.
 
-type t = { mutable state : int64 }
+   The state is 8 bytes, not an [int64] field (which would be boxed),
+   and the step is inlined into every draw, so the arithmetic stays
+   unboxed: [int] and [bool] allocate nothing, [float] only its boxed
+   result. *)
+
+type t = Bytes.t
 
 let gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = seed }
+let create ~seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let next_raw t =
-  let z = Int64.add t.state gamma in
-  t.state <- z;
+let[@inline] next_raw t =
+  let z = Int64.add (Bytes.get_int64_le t 0) gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -81,8 +81,11 @@ let send_now t index =
   t.probes <- t.probes + 1;
   if Option.is_none t.first_send_since_delivery.(index) then
     t.first_send_since_delivery.(index) <- Some (Sim.Engine.now t.engine);
-  Sim.Trace.emitf (Sim.Engine.trace t.engine) (Sim.Engine.now t.engine)
-    ~category:"probe" "send flow#%d" index;
+  (* Guarded: even a disabled emitf allocates, and this runs per probe. *)
+  let trace = Sim.Engine.trace t.engine in
+  if Sim.Trace.enabled trace then
+    Sim.Trace.emitf trace (Sim.Engine.now t.engine) ~category:"probe" "send flow#%d"
+      index;
   t.send t.flows.(index)
 
 let inject t index = send_now t index

@@ -395,67 +395,6 @@ let state_tests =
                = Lint.State.Diverged)));
   ]
 
-(* A throwaway tree on disk, for the cache round-trip. *)
-let with_temp_tree f =
-  let dir = Filename.temp_file "sc_lint_tree" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Sys.mkdir (Filename.concat dir "lib") 0o755;
-  Sys.mkdir (Filename.concat dir "lib/fake") 0o755;
-  let write path src =
-    let oc = open_out (Filename.concat dir path) in
-    output_string oc src;
-    close_out oc
-  in
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir write)
-
-let cache_tests =
-  [
-    Alcotest.test_case "warm re-run parses nothing" `Quick (fun () ->
-        with_temp_tree (fun root write ->
-            write "lib/fake/a.ml" "let f x = x + 1\n";
-            write "lib/fake/b.ml" "let g x = x * 2\n";
-            let cache = Filename.concat root "facts.cache" in
-            let cold = Lint.Engine.scan_tree ~dirs:["lib"] ~cache root in
-            Alcotest.(check int) "cold run parses" 0
-              cold.Lint.Engine.cache_hits;
-            Alcotest.(check int) "two files" 2 cold.Lint.Engine.files;
-            let warm = Lint.Engine.scan_tree ~dirs:["lib"] ~cache root in
-            Alcotest.(check int) "warm run hits every file" 2
-              warm.Lint.Engine.cache_hits;
-            Alcotest.(check bool) "same diagnostics" true
-              (List.equal Lint.Diagnostic.equal cold.Lint.Engine.diagnostics
-                 warm.Lint.Engine.diagnostics)));
-    Alcotest.test_case "an edit invalidates only that file" `Quick (fun () ->
-        with_temp_tree (fun root write ->
-            write "lib/fake/a.ml" "let f x = x + 1\n";
-            write "lib/fake/b.ml" "let g x = x * 2\n";
-            let cache = Filename.concat root "facts.cache" in
-            ignore (Lint.Engine.scan_tree ~dirs:["lib"] ~cache root);
-            write "lib/fake/a.ml" "let f x = x + 2\n";
-            let partial = Lint.Engine.scan_tree ~dirs:["lib"] ~cache root in
-            Alcotest.(check int) "one hit, one re-parse" 1
-              partial.Lint.Engine.cache_hits));
-    Alcotest.test_case "a stale cache version degrades to a cold run" `Quick
-      (fun () ->
-        with_temp_tree (fun root write ->
-            write "lib/fake/a.ml" "let f x = x + 1\n";
-            let cache = Filename.concat root "facts.cache" in
-            let oc = open_out_bin cache in
-            Marshal.to_channel oc "sc_lint-cache-v0" [];
-            close_out oc;
-            let report = Lint.Engine.scan_tree ~dirs:["lib"] ~cache root in
-            Alcotest.(check int) "no hits from a foreign cache" 0
-              report.Lint.Engine.cache_hits));
-  ]
-
 let contains_sub ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -531,7 +470,7 @@ let meta_tests =
               "Openflow.Flow_table.peek";
               "Openflow.Ofmatch.matches";
               "Openflow.Switch.resolve_batch";
-              "Supercharger.Fib_cache.resolve_batch";
+              "Router.Fib.lookup_batch";
             ]);
     Alcotest.test_case "report is deterministic and ordered" `Quick (fun () ->
         let src = "let a = Sys.time ()\nlet b = Random.bits ()" in
@@ -547,8 +486,8 @@ let meta_tests =
             [("lib/fake/fixture.ml", "let t = Sys.time ()")]
         in
         let s = Obs.Json.to_string (Lint.Engine.to_json report) in
-        Alcotest.(check bool) "schema tag" true (contains_sub ~sub:"lint/v2" s);
-        Alcotest.(check bool) "cache hits reported" true
+        Alcotest.(check bool) "schema tag" true (contains_sub ~sub:"lint/v3" s);
+        Alcotest.(check bool) "no cache hits field" false
           (contains_sub ~sub:"cache_hits" s);
         Alcotest.(check bool) "rule listed" true
           (contains_sub ~sub:"no-ambient-nondeterminism" s));
@@ -563,6 +502,5 @@ let suite =
     ("lint hot-path-alloc", alloc_tests);
     ("lint rule selection", selection_tests);
     ("lint inventory", state_tests);
-    ("lint cache", cache_tests);
     ("lint meta", meta_tests);
   ]

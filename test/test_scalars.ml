@@ -3,8 +3,9 @@
    keyed on one of them iterates in bucket order, so the hashes must
    stay bit-identical for simulated output to stay byte-identical; the
    orders must stay the same for every sorted output. The second half
-   checks at runtime that the scalar operations and the
-   [@lint.zero_alloc] lookups allocate nothing. *)
+   checks at runtime that the scalar operations, the [Sim.Rng] integer
+   and boolean draws and the [@lint.zero_alloc] lookups allocate
+   nothing. *)
 
 open Net
 
@@ -174,6 +175,11 @@ let alloc_tests =
                 + Bool.to_int (Prefix.mem addrs.(i) p)
             done);
         Alcotest.(check bool) "work done" true (!sink <> 0));
+    Alcotest.test_case "Sim.Rng int and bool draws allocate nothing" `Quick (fun () ->
+        let rng = Sim.Rng.create ~seed:3L and sink = ref 0 in
+        zero_alloc "Sim.Rng.int" (fun () -> sink := !sink + Sim.Rng.int rng 1000);
+        zero_alloc "Sim.Rng.bool" (fun () -> if Sim.Rng.bool rng then incr sink);
+        Alcotest.(check bool) "draws landed" true (!sink > 0));
     Alcotest.test_case "Flat_fib and Router.Fib lookups allocate nothing" `Quick (fun () ->
         let fib = Flat_fib.create () in
         let engine = Sim.Engine.create () in

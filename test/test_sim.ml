@@ -291,6 +291,56 @@ let rng_tests =
         let a' = Sim.Rng.copy a in
         let _ = Sim.Rng.int64 b in
         Alcotest.(check int64) "a unchanged" (Sim.Rng.int64 a') (Sim.Rng.int64 a));
+    Alcotest.test_case "first draws are pinned for three seeds" `Quick (fun () ->
+        (* Every seeded experiment replays this exact stream, so any
+           change to the generator's arithmetic must fail here. *)
+        let script seed =
+          let r = Sim.Rng.create ~seed in
+          let ints = List.init 4 (fun _ -> Sim.Rng.int r 1_000_000) in
+          let big = Sim.Rng.int r max_int in
+          let floats = List.init 3 (fun _ -> Sim.Rng.float r 1.0) in
+          let bools = String.init 8 (fun _ -> if Sim.Rng.bool r then '1' else '0') in
+          let child = Sim.Rng.split r in
+          let twin = Sim.Rng.copy r in
+          let child_draw = Sim.Rng.int64 child in
+          let twin_draw = Sim.Rng.int64 twin in
+          let own_draw = Sim.Rng.int64 r in
+          (ints, big, floats, bools, (child_draw, twin_draw, own_draw), Sim.Rng.int child 1000)
+        in
+        let check seed (ints, big, floats, bools, (child, twin, own), child_int) =
+          let g_ints, g_big, g_floats, g_bools, (g_child, g_twin, g_own), g_child_int =
+            script seed
+          in
+          Alcotest.(check (list int)) "int" ints g_ints;
+          Alcotest.(check int) "int max_int" big g_big;
+          Alcotest.(check (list (float 0.))) "float" floats g_floats;
+          Alcotest.(check string) "bool" bools g_bools;
+          Alcotest.(check int64) "split" child g_child;
+          Alcotest.(check int64) "copy" twin g_twin;
+          Alcotest.(check int64) "original after copy" own g_own;
+          Alcotest.(check int) "split stream int" child_int g_child_int
+        in
+        check 1L
+          ( [411232; 214259; 445295; 890117],
+            4097618618563484380,
+            [0x1.869a17ff202ap-1; 0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1],
+            "00100001",
+            (8516803822754074673L, -3406180531968431375L, -3406180531968431375L),
+            195 );
+        check 42L
+          ( [637706; 446145; 381929; 127882],
+            350766393070981625,
+            [0x1.bc8863f47901bp-1; 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1],
+            "10100100",
+            (2941599261480896098L, 9140336935745592861L, 9140336935745592861L),
+            994 );
+        check (-7L)
+          ( [968376; 571477; 435592; 974945],
+            607913297493867673,
+            [0x1.9da3fe73b6aa9p-1; 0x1.19eba71f5850bp-1; 0x1.b4b0d3e2abdp-8],
+            "11011010",
+            (9216904256348321270L, 627553662141793563L, 627553662141793563L),
+            43 ));
     Alcotest.test_case "shuffle is a permutation" `Quick (fun () ->
         let r = Sim.Rng.create ~seed:11L in
         let arr = Array.init 50 Fun.id in

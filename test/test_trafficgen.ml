@@ -174,6 +174,34 @@ let monitor_tests =
         Alcotest.(check (option int64)) "convergence none" None
           (Option.map Sim.Time.to_ns
              (Trafficgen.Monitor.convergence monitor ~failed_at:t_fail 0)));
+    Alcotest.test_case "an enabled trace logs every probe send and arrival" `Quick
+      (fun () ->
+        let e, _, monitor, _ = make_loopback () in
+        Trafficgen.Monitor.window monitor ~from_:Sim.Time.zero ~until:(Sim.Time.of_us 70);
+        Sim.Engine.run e;
+        let lines category =
+          List.map
+            (fun (en : Sim.Trace.entry) -> (Sim.Time.to_ns en.time, en.message))
+            (Sim.Trace.find (Sim.Engine.trace e) ~category)
+        in
+        let us n = Sim.Time.to_ns (Sim.Time.of_us n) in
+        Alcotest.(check (list (pair int64 string))) "probe lines"
+          [ (us 0, "send flow#0"); (us 0, "send flow#1");
+            (us 70, "send flow#0"); (us 70, "send flow#1") ]
+          (lines "probe");
+        Alcotest.(check (list (pair int64 string))) "sink lines"
+          [ (us 30, "arrival flow#0"); (us 30, "arrival flow#1");
+            (us 100, "arrival flow#0"); (us 100, "arrival flow#1") ]
+          (lines "sink"));
+    Alcotest.test_case "a disabled trace logs nothing while probes flow" `Quick
+      (fun () ->
+        let e, sink, monitor, _ = make_loopback () in
+        Sim.Trace.set_enabled (Sim.Engine.trace e) false;
+        Trafficgen.Monitor.window monitor ~from_:Sim.Time.zero ~until:(Sim.Time.of_us 70);
+        Sim.Engine.run e;
+        Alcotest.(check int) "probes sent" 4 (Trafficgen.Monitor.probes_sent monitor);
+        Alcotest.(check int) "arrivals" 4 (Trafficgen.Sink.total sink);
+        Alcotest.(check int) "nothing traced" 0 (Sim.Trace.total (Sim.Engine.trace e)));
   ]
 
 let suite =
